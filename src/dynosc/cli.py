@@ -17,12 +17,11 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .config import PRESET_NAMES, load_config, preset_config
 from .errors import ConfigError
-from .flows import BETA0_QUARTIC, BETA0_SQUARED, MomentSet, classical_moments
+from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
 from .oracle import MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum, quadrature_moment
 from .states import MOMENTUM, POSITION, StateSpec, sample_frame, uniform_grid
 from .verification import run_acceptance, scoped_checks
@@ -45,6 +44,8 @@ def _resolve_config(args):
         return load_config(args.config)
     if args.preset:
         return preset_config(args.preset)
+    if args.command != "verify":
+        raise ConfigError(f"{args.command} needs --config or --preset")
     return None
 
 
@@ -55,22 +56,8 @@ def _add_source_options(parser):
                         help="built-in run configuration")
 
 
-@dataclass(frozen=True)
-class FramePacket:
-    """One exported frame: index, time, named columns, closed-form moments."""
-
-    frame_index: int
-    t: float
-    columns: dict
-    moments: MomentSet
-
-    def __post_init__(self):
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) != 1:
-            raise ValueError("all columns must have equal length")
-
-
-def build_packet(config, index, t, representation):
+def build_packet(config, t, representation):
+    """Named CSV columns of one exported frame."""
     spec = StateSpec(config.params, config.n)
     grid = uniform_grid(config.grid.x_min, config.grid.x_max,
                         config.grid.points)
@@ -79,18 +66,11 @@ def build_packet(config, index, t, representation):
         names = ("x", "density", "re_psi", "im_psi")
     else:
         names = ("p", "density", "re_a", "im_a")
-    columns = dict(zip(names, (frame.grid, frame.density(),
-                               frame.amplitudes.real, frame.amplitudes.imag)))
-    moments = classical_moments(config.params, config.n, t)
-    return FramePacket(index, float(t), columns, moments)
+    return dict(zip(names, (frame.grid, frame.density(),
+                            frame.amplitudes.real, frame.amplitudes.imag)))
 
 
-def cmd_verify(args):
-    try:
-        config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_verify(args, config):
     if config is not None:
         groups = {"scoped checks": scoped_checks(
             config, args.appendix_b_denominator, args.tau_convention)}
@@ -107,9 +87,9 @@ def cmd_verify(args):
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def _frame_rows(packet):
-    rows = [",".join(packet.columns)]
-    for values in zip(*packet.columns.values()):
+def _frame_rows(columns):
+    rows = [",".join(columns)]
+    for values in zip(*columns.values()):
         rows.append(",".join(_fmt(v) for v in values))
     return "\n".join(rows) + "\n"
 
@@ -139,14 +119,7 @@ def _moment_rows(config, check=False):
     return "\n".join(rows) + "\n"
 
 
-def cmd_moments(args):
-    try:
-        config = _resolve_config(args)
-        if config is None:
-            raise ConfigError("moments needs --config or --preset")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_moments(args, config):
     sys.stdout.write(_moment_rows(config, check=args.check))
     return EXIT_OK
 
@@ -157,14 +130,7 @@ def _write(path, text):
     return hashlib.sha256(data).hexdigest()
 
 
-def cmd_evolve(args):
-    try:
-        config = _resolve_config(args)
-        if config is None:
-            raise ConfigError("evolve needs --config or --preset")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_evolve(args, config):
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,12 +150,12 @@ def cmd_evolve(args):
             emitted = []
             if want_position:
                 emitted.append((f"position_{index:04d}.csv",
-                                build_packet(config, index, t, POSITION)))
+                                build_packet(config, t, POSITION)))
             if want_momentum:
                 emitted.append((f"momentum_{index:04d}.csv",
-                                build_packet(config, index, t, MOMENTUM)))
-            for name, packet in emitted:
-                digest = _write(out_dir / name, _frame_rows(packet))
+                                build_packet(config, t, MOMENTUM)))
+            for name, columns in emitted:
+                digest = _write(out_dir / name, _frame_rows(columns))
                 manifest["frames"].append(
                     {"index": index, "t": t, "file": name, "sha256": digest})
         if "moments" in config.outputs:
@@ -239,7 +205,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        config = _resolve_config(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

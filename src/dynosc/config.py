@@ -9,7 +9,7 @@ densities integrate to one.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 from .flows import OscillatorParams
@@ -112,6 +112,9 @@ def preset_config(name):
     )
 
 
+_OPTIONAL_PARAMS = ("alpha0", "gamma0", "delta0", "eps0", "kappa0")
+
+
 def _require(mapping, key, kind, where):
     if key not in mapping:
         raise ConfigError(f"missing {where}{key!r}")
@@ -119,7 +122,13 @@ def _require(mapping, key, kind, where):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}{key!r} must be a number")
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}{key!r} must be a finite number")
+        return value
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}{key!r} must be an integer")
@@ -138,16 +147,11 @@ def config_from_dict(raw):
     p = raw.get("params")
     if not isinstance(p, dict):
         raise ConfigError("missing 'params' object")
+    p = {**dict.fromkeys(_OPTIONAL_PARAMS, 0.0), **p}
     try:
-        params = OscillatorParams(
-            mu0=_require(p, "mu0", float, "params."),
-            alpha0=float(p.get("alpha0", 0.0)),
-            beta0=_require(p, "beta0", float, "params."),
-            gamma0=float(p.get("gamma0", 0.0)),
-            delta0=float(p.get("delta0", 0.0)),
-            eps0=float(p.get("eps0", 0.0)),
-            kappa0=float(p.get("kappa0", 0.0)),
-        )
+        params = OscillatorParams(**{
+            f.name: _require(p, f.name, float, "params.")
+            for f in fields(OscillatorParams)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     g = raw.get("grid", {})
@@ -183,4 +187,6 @@ def load_config(path):
             raw = json.load(stream)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config does not parse as JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     return config_from_dict(raw)

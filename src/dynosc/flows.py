@@ -56,8 +56,13 @@ class OscillatorParams:
             raise ValueError("initial data must be finite real numbers")
         if self.mu0 <= 0:
             raise ValueError("mu0 must be positive")
-        if self.beta0 == 0:
-            raise ValueError("beta0 must be nonzero")
+        try:
+            quartic = float(self.beta0) ** 4
+        except OverflowError:
+            quartic = math.inf
+        if not 0.0 < quartic < math.inf:
+            raise ValueError(
+                "beta0 must be nonzero, with a finite nonzero fourth power")
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ MOMENTUM = "momentum"
 
 MIN_GRID_POINTS = 16
 
-# Default sampling window in oscillator units; wide enough that every preset
-# density is < 1e-30 at the boundary.
-DEFAULT_GRID = (-12.0, 12.0, 1024)
-
 
 @dataclass(frozen=True)
 class StateSpec:

@@ -97,18 +97,17 @@ def _random_params(count):
 
 # -- criterion 1: the closed form satisfies the evolution equation ----------
 
+def _worst_residual(spec, grid, dt=RESIDUAL_DT):
+    return max(schrodinger_residual(spec, grid, t, dt).l2_relative
+               for t in EIGHT_TIMES)
+
+
 def family_exactness():
     """PDE residual of the closed form, all presets, n in {0,1,2,5}."""
     grid = uniform_grid(*RESIDUAL_GRID)
-    results = []
-    for name, cfg in _presets().items():
-        for n in (0, 1, 2, 5):
-            spec = StateSpec(cfg.params, n)
-            worst = max(
-                schrodinger_residual(spec, grid, t, RESIDUAL_DT).l2_relative
-                for t in EIGHT_TIMES)
-            results.append(_below(f"pde_residual[{name}, n={n}]", worst, 1e-6))
-    return results
+    return [_below(f"pde_residual[{name}, n={n}]",
+                   _worst_residual(StateSpec(cfg.params, n), grid), 1e-6)
+            for name, cfg in _presets().items() for n in (0, 1, 2, 5)]
 
 
 def family_exactness_refined():
@@ -123,30 +122,30 @@ def family_exactness_refined():
     closed form itself is exact.
     """
     grid = uniform_grid(-12.0, 12.0, 4096)
-    results = []
-    for name, cfg in _presets().items():
-        spec = StateSpec(cfg.params, 5)
-        worst = max(schrodinger_residual(spec, grid, t, 1e-5).l2_relative
-                    for t in EIGHT_TIMES)
-        results.append(_below(f"pde_residual_refined[{name}, n=5]", worst, 1e-6))
-    return results
+    return [_below(f"pde_residual_refined[{name}, n=5]",
+                   _worst_residual(StateSpec(cfg.params, 5), grid, 1e-5), 1e-6)
+            for name, cfg in _presets().items()]
 
 
 # -- criterion 2: invariant spectrum -----------------------------------------
 
-def invariant_spectrum():
+def _eigenvalue_gap(params, times):
+    """Worst |invariant eigenvalue estimate - (n + 1/2)| over n <= 6."""
     grid = uniform_grid(*OPERATOR_GRID)
-    results = []
-    for name, cfg in _presets().items():
-        worst = 0.0
-        for n in range(7):
-            spec = StateSpec(cfg.params, n)
-            for t in EIGHT_TIMES:
-                frame = sample_frame(spec, POSITION, grid, t)
-                report = invariant_report(spec, frame, t)
-                worst = max(worst, abs(report.eigenvalue_estimate - (n + 0.5)))
-        results.append(_below(f"invariant_eigenvalue[{name}]", worst, 1e-7))
-    return results
+    worst = 0.0
+    for n in range(7):
+        spec = StateSpec(params, n)
+        for t in times:
+            frame = sample_frame(spec, POSITION, grid, t)
+            report = invariant_report(spec, frame, t)
+            worst = max(worst, abs(report.eigenvalue_estimate - (n + 0.5)))
+    return worst
+
+
+def invariant_spectrum():
+    return [_below(f"invariant_eigenvalue[{name}]",
+                   _eigenvalue_gap(cfg.params, EIGHT_TIMES), 1e-7)
+            for name, cfg in _presets().items()]
 
 
 # -- criterion 3: ladder algebra ---------------------------------------------
@@ -159,6 +158,11 @@ def _gaussian_test_frames():
         (1.0 + 0.2 * x) * np.exp(-(x + 1.0) ** 2 / 2.5 - 0.3j * x),
     ]
     return [WaveFrame(POSITION, 0.0, x, s) for s in shapes]
+
+
+def _commutator_residual(params, times):
+    frames = _gaussian_test_frames()
+    return max(commutator_check(t, params, frames).residual_l2 for t in times)
 
 
 def ladder_algebra():
@@ -185,10 +189,8 @@ def ladder_algebra():
                 up = max(up, gap / norms[n])
         results.append(_below(f"ladder_lowering[{name}]", down, 1e-6))
         results.append(_below(f"ladder_raising[{name}]", up, 1e-6))
-    frames = _gaussian_test_frames()
-    worst = max(commutator_check(t, cfg.params, frames).residual_l2
-                for name, cfg in _presets().items()
-                for t in (0.0, 1.0, 2.5))
+    worst = max(_commutator_residual(cfg.params, (0.0, 1.0, 2.5))
+                for cfg in _presets().values())
     results.append(_below("ladder_commutator[gaussian frames]", worst, 1e-7))
     return results
 
@@ -276,15 +278,19 @@ def _momentum_gap(params, n, t, grid, denominator):
     return _l2_gap(numeric.amplitudes, closed.amplitudes, pos.dx)
 
 
-def momentum_representation(denominator=BETA0_QUARTIC):
+def _worst_momentum_gap(params, times, denominator):
     grid = uniform_grid(*TRANSFORM_GRID)
-    results = []
-    for name, cfg in _presets().items():
-        worst = max(_momentum_gap(cfg.params, n, t, grid, denominator)
-                    for n in range(5) for t in EIGHT_TIMES)
-        results.append(_below(f"momentum_map[{name}, n<=4]", worst, 1e-8))
-    control = _momentum_gap(preset_config("example3").params, 0, 0.0, grid,
-                            BETA0_SQUARED)
+    return max(_momentum_gap(params, n, t, grid, denominator)
+               for n in range(5) for t in times)
+
+
+def momentum_representation(denominator=BETA0_QUARTIC):
+    results = [_below(f"momentum_map[{name}, n<=4]",
+                      _worst_momentum_gap(cfg.params, EIGHT_TIMES, denominator),
+                      1e-8)
+               for name, cfg in _presets().items()]
+    control = _momentum_gap(preset_config("example3").params, 0, 0.0,
+                            uniform_grid(*TRANSFORM_GRID), BETA0_SQUARED)
     results.append(_above("momentum_map_negative_control[example3, beta0sq]",
                           control, 1e-2))
     return results
@@ -323,25 +329,30 @@ def animation_reproduction():
 
 # -- criterion 8: classical layer --------------------------------------------
 
-def classical_layer():
-    dense = np.linspace(0.0, 2.0 * math.pi, 257)
+def _classical_drift(params):
+    """(energy drift, Ehrenfest residual) of the n = 0 moments over one period."""
     h = 1e-5
+    energy0 = classical_moments(params, 0, 0.0).energy
+    drift = 0.0
+    ehrenfest = 0.0
+    for t in np.linspace(0.0, 2.0 * math.pi, 257):
+        m = classical_moments(params, 0, t)
+        drift = max(drift, abs(m.energy - energy0))
+        plus = classical_moments(params, 0, t + h)
+        minus = classical_moments(params, 0, t - h)
+        ehrenfest = max(
+            ehrenfest,
+            abs((plus.mean_x - minus.mean_x) / (2 * h) - m.mean_p),
+            abs((plus.mean_p - minus.mean_p) / (2 * h) + m.mean_x))
+    return drift, ehrenfest
+
+
+def classical_layer():
     results = []
     cases = [(name, cfg.params) for name, cfg in _presets().items()]
     cases += [(f"random{i}", p) for i, p in enumerate(_random_params(3))]
     for name, params in cases:
-        energy0 = classical_moments(params, 0, 0.0).energy
-        drift = 0.0
-        ehrenfest = 0.0
-        for t in dense:
-            m = classical_moments(params, 0, t)
-            drift = max(drift, abs(m.energy - energy0))
-            plus = classical_moments(params, 0, t + h)
-            minus = classical_moments(params, 0, t - h)
-            ehrenfest = max(
-                ehrenfest,
-                abs((plus.mean_x - minus.mean_x) / (2 * h) - m.mean_p),
-                abs((plus.mean_p - minus.mean_p) / (2 * h) + m.mean_x))
+        drift, ehrenfest = _classical_drift(params)
         results.append(_below(f"energy_constant[{name}]", drift, 1e-12))
         results.append(_below(f"ehrenfest[{name}]", ehrenfest, 1e-8))
     return results
@@ -349,51 +360,51 @@ def classical_layer():
 
 # -- criterion 9: independent propagation ------------------------------------
 
-def independent_propagation():
+def _split_step_gap(spec):
     grid = uniform_grid(*PROPAGATION_GRID)
-    dx = float(grid[1] - grid[0])
-    results = []
-    for name, cfg in _presets().items():
-        spec = StateSpec(cfg.params, cfg.n)
-        start = sample_frame(spec, POSITION, grid, 0.0)
-        evolved = split_step_propagate(start, 1.0, 4096)
-        target = sample_frame(spec, POSITION, grid, 1.0)
-        gap = _l2_gap(evolved.amplitudes, target.amplitudes, dx)
-        results.append(_below(f"split_step_vs_closed_form[{name}]", gap, 1e-5))
-    return results
+    start = sample_frame(spec, POSITION, grid, 0.0)
+    evolved = split_step_propagate(start, 1.0, 4096)
+    target = sample_frame(spec, POSITION, grid, 1.0)
+    return _l2_gap(evolved.amplitudes, target.amplitudes, start.dx)
+
+
+def independent_propagation():
+    return [_below(f"split_step_vs_closed_form[{name}]",
+                   _split_step_gap(StateSpec(cfg.params, cfg.n)), 1e-5)
+            for name, cfg in _presets().items()]
 
 
 # -- criterion 10: comoving-frame adjudication --------------------------------
 
+def _worst_comoving(spec, convention, times):
+    return max(comoving_residual(spec, t, convention).l2_relative
+               for t in times)
+
+
+def _one_convention(worst_by_convention):
+    """Conventions whose worst residual passes, and the row requiring one."""
+    winners = [c for c, worst in worst_by_convention.items() if worst < 1e-6]
+    return winners, CheckResult(
+        "comoving_exactly_one_convention", float(len(winners)),
+        "exactly 1 passing convention", len(winners) == 1)
+
+
 def comoving_adjudication(tau_convention=None):
     times = (0.8, 2.0, 4.0)
-    presets = _presets()
+    specs = {name: StateSpec(cfg.params, cfg.n)
+             for name, cfg in _presets().items()}
     if tau_convention is not None:
-        results = []
-        for name, cfg in presets.items():
-            spec = StateSpec(cfg.params, cfg.n)
-            worst = max(comoving_residual(spec, t, tau_convention).l2_relative
-                        for t in times)
-            results.append(_below(f"comoving_residual[{name}, {tau_convention}]",
-                                  worst, 1e-6))
-        return results
-    per_convention = {}
-    results = []
-    for convention in (MINUS_TWO_GAMMA, MINUS_GAMMA):
-        worst = 0.0
-        for cfg in presets.values():
-            spec = StateSpec(cfg.params, cfg.n)
-            worst = max(worst,
-                        max(comoving_residual(spec, t, convention).l2_relative
-                            for t in times))
-        per_convention[convention] = worst
-        results.append(CheckResult(
-            f"comoving_residual[{convention}, all presets]", worst,
-            "reported", True))
-    winners = [c for c, worst in per_convention.items() if worst < 1e-6]
-    results.append(CheckResult(
-        "comoving_exactly_one_convention", float(len(winners)),
-        "exactly 1 passing convention", len(winners) == 1))
+        return [_below(f"comoving_residual[{name}, {tau_convention}]",
+                       _worst_comoving(spec, tau_convention, times), 1e-6)
+                for name, spec in specs.items()]
+    per_convention = {c: max(_worst_comoving(spec, c, times)
+                             for spec in specs.values())
+                      for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
+    results = [CheckResult(f"comoving_residual[{c}, all presets]", worst,
+                           "reported", True)
+               for c, worst in per_convention.items()]
+    winners, row = _one_convention(per_convention)
+    results.append(row)
     if winners:
         results.append(CheckResult(
             f"comoving_winner[{winners[0]}]", per_convention[winners[0]],
@@ -449,57 +460,41 @@ def run_acceptance(denominator=BETA0_QUARTIC, tau_convention=None):
 
 
 def scoped_checks(config, denominator=BETA0_QUARTIC, tau_convention=None):
-    """Verification battery restricted to one configured family member."""
+    """Verification battery restricted to one configured family member.
+
+    The rows reuse the full battery's measurements on this one member, with
+    n in {0, 1, 2, 5, config.n} for the PDE residual, every second of the
+    eight sample times for the invariant and momentum-map checks, and the
+    first two times of the commutator and comoving checks; a normalization
+    row is added.
+    """
     params, n = config.params, config.n
-    results = []
-    grid = uniform_grid(*RESIDUAL_GRID)
-    for nn in sorted({0, 1, 2, 5, n}):
-        spec = StateSpec(params, nn)
-        worst = max(schrodinger_residual(spec, grid, t, RESIDUAL_DT).l2_relative
-                    for t in EIGHT_TIMES)
-        results.append(_below(f"pde_residual[n={nn}]", worst, 1e-6))
-    op_grid = uniform_grid(*OPERATOR_GRID)
-    worst = 0.0
-    for nn in range(7):
-        spec = StateSpec(params, nn)
-        for t in EIGHT_TIMES[::2]:
-            frame = sample_frame(spec, POSITION, op_grid, t)
-            report = invariant_report(spec, frame, t)
-            worst = max(worst, abs(report.eigenvalue_estimate - (nn + 0.5)))
-    results.append(_below("invariant_eigenvalue[n<=6]", worst, 1e-7))
-    worst = max(commutator_check(t, params, _gaussian_test_frames()).residual_l2
-                for t in (0.0, 1.0))
-    results.append(_below("ladder_commutator", worst, 1e-7))
-    tgrid = uniform_grid(*TRANSFORM_GRID)
-    worst = max(_momentum_gap(params, nn, t, tgrid, denominator)
-                for nn in range(5) for t in EIGHT_TIMES[::2])
-    results.append(_below("momentum_map[n<=4]", worst, 1e-8))
-    energy0 = classical_moments(params, 0, 0.0).energy
-    drift = max(abs(classical_moments(params, 0, t).energy - energy0)
-                for t in np.linspace(0, 2 * math.pi, 257))
-    results.append(_below("energy_constant", drift, 1e-12))
-    pgrid = uniform_grid(*PROPAGATION_GRID)
     spec = StateSpec(params, n)
-    start = sample_frame(spec, POSITION, pgrid, 0.0)
-    evolved = split_step_propagate(start, 1.0, 4096)
-    target = sample_frame(spec, POSITION, pgrid, 1.0)
-    results.append(_below(
-        "split_step_vs_closed_form",
-        _l2_gap(evolved.amplitudes, target.amplitudes, start.dx), 1e-5))
-    conventions = ((tau_convention,) if tau_convention
-                   else (MINUS_TWO_GAMMA, MINUS_GAMMA))
-    residuals = {c: max(comoving_residual(spec, t, c).l2_relative
-                        for t in (0.8, 2.0)) for c in conventions}
+    grid = uniform_grid(*RESIDUAL_GRID)
+    results = [_below(f"pde_residual[n={nn}]",
+                      _worst_residual(StateSpec(params, nn), grid), 1e-6)
+               for nn in sorted({0, 1, 2, 5, n})]
+    half = EIGHT_TIMES[::2]
+    results += [
+        _below("invariant_eigenvalue[n<=6]", _eigenvalue_gap(params, half), 1e-7),
+        _below("ladder_commutator", _commutator_residual(params, (0.0, 1.0)),
+               1e-7),
+        _below("momentum_map[n<=4]",
+               _worst_momentum_gap(params, half, denominator), 1e-8),
+        _below("energy_constant", _classical_drift(params)[0], 1e-12),
+        _below("split_step_vs_closed_form", _split_step_gap(spec), 1e-5),
+    ]
+    times = (0.8, 2.0)
     if tau_convention:
         results.append(_below(f"comoving_residual[{tau_convention}]",
-                              residuals[tau_convention], 1e-6))
+                              _worst_comoving(spec, tau_convention, times), 1e-6))
     else:
-        winners = [c for c, v in residuals.items() if v < 1e-6]
+        worst = {c: _worst_comoving(spec, c, times)
+                 for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
         results.append(_below(f"comoving_residual[{MINUS_TWO_GAMMA}]",
-                              residuals[MINUS_TWO_GAMMA], 1e-6))
-        results.append(CheckResult(
-            "comoving_exactly_one_convention", float(len(winners)),
-            "exactly 1 passing convention", len(winners) == 1))
+                              worst[MINUS_TWO_GAMMA], 1e-6))
+        results.append(_one_convention(worst)[1])
+    op_grid = uniform_grid(*OPERATOR_GRID)
     norm_sq = sample_frame(spec, POSITION, op_grid, 1.1).norm() ** 2
     expected = 1.0 / (params.mu0 * abs(params.beta0))
     results.append(_below("normalization[1/(mu0 |beta0|)]",

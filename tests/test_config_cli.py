@@ -1,21 +1,23 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dynosc import ConfigError
 from dynosc.cli import main
-from dynosc.config import (PRESET_NAMES, config_from_dict, load_config,
-                           preset_config)
+from dynosc.config import (PRESET_NAMES, RunConfig, config_from_dict,
+                           load_config, preset_config)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def write_config(tmp_path, **overrides):
-    raw = {
+def valid_config():
+    return {
         "schema_version": 1,
         "params": {"mu0": 1.0, "alpha0": 0.0, "beta0": 1.0, "gamma0": 0.0,
                    "delta0": 0.0, "eps0": 0.0, "kappa0": 0.0},
@@ -24,6 +26,23 @@ def write_config(tmp_path, **overrides):
         "time": {"t_start": 0.0, "t_end": 1.0, "frames": 3},
         "outputs": ["position_density", "wavefunction"],
     }
+
+
+# Every field of a valid config, as a key path.
+CONFIG_FIELDS = [(key,) for key in valid_config()] + [
+    (key, sub) for key, value in valid_config().items()
+    if isinstance(value, dict) for sub in value]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+    | st.integers() | st.integers(min_value=2 ** 1000, max_value=2 ** 1100),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+def write_config(tmp_path, **overrides):
+    raw = valid_config()
     for key, value in overrides.items():
         if isinstance(value, dict) and key in raw:
             raw[key].update(value)
@@ -76,6 +95,14 @@ class TestConfig:
         ({"outputs": ["density"]}, "unknown outputs"),
         ({"outputs": []}, "outputs"),
         ({"n": -1}, "n must be"),
+        ({"params": {"alpha0": [1]}}, "alpha0' must be a number"),
+        ({"params": {"gamma0": "1.5"}}, "gamma0' must be a number"),
+        ({"params": {"kappa0": True}}, "kappa0' must be a number"),
+        ({"params": {"mu0": 10 ** 400}}, "mu0' must be a finite number"),
+        ({"time": {"t_end": math.inf}}, "t_end' must be a finite number"),
+        ({"grid": {"x_max": math.nan}}, "x_max' must be a finite number"),
+        ({"params": {"beta0": 1e-200}}, "finite nonzero fourth power"),
+        ({"params": {"beta0": -1e100}}, "finite nonzero fourth power"),
     ])
     def test_validation_errors(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path, **overrides)
@@ -91,6 +118,20 @@ class TestConfig:
     def test_config_from_dict_requires_object(self):
         with pytest.raises(ConfigError):
             config_from_dict([1, 2, 3])
+
+    @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+    def test_any_value_in_any_field_is_config_or_config_error(self, field,
+                                                               value):
+        raw = valid_config()
+        *parents, key = field
+        target = raw
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        try:
+            assert isinstance(config_from_dict(raw), RunConfig)
+        except ConfigError:
+            pass
 
 
 class TestMomentsCommand:
@@ -225,16 +266,46 @@ class TestEvolveCommand:
 
 
 class TestVerifyCommand:
-    def test_schrodinger_preset_passes(self, capsys):
-        assert main(["verify", "--preset", "schrodinger"]) == 0
+    @pytest.mark.parametrize("source", ["preset", "config_n3"])
+    def test_schrodinger_preset_passes(self, tmp_path, capsys, source):
+        if source == "preset":
+            n, argv = 0, ["--preset", "schrodinger"]
+        else:
+            n, argv = 3, ["--config", str(write_config(tmp_path, n=3))]
+        assert main(["verify", *argv]) == 0
         out = capsys.readouterr().out
         assert "ALL CHECKS PASS" in out
         assert "FAIL" not in out
+        rows = [re.sub(r" measured \S+,", "", line)
+                for line in out.splitlines() if line.startswith("[")]
+        assert rows == [
+            *(f"[PASS] pde_residual[n={k}]: requires < 1e-06"
+              for k in sorted({0, 1, 2, 5, n})),
+            "[PASS] invariant_eigenvalue[n<=6]: requires < 1e-07",
+            "[PASS] ladder_commutator: requires < 1e-07",
+            "[PASS] momentum_map[n<=4]: requires < 1e-08",
+            "[PASS] energy_constant: requires < 1e-12",
+            "[PASS] split_step_vs_closed_form: requires < 1e-05",
+            "[PASS] comoving_residual[minus_two_gamma]: requires < 1e-06",
+            "[PASS] comoving_exactly_one_convention: "
+            "requires exactly 1 passing convention",
+            "[PASS] normalization[1/(mu0 |beta0|)]: requires < 1e-10",
+        ]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, params={"beta0": 0.0})
         assert main(["verify", "--config", str(path)]) == 2
         assert "beta0 must be nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"schema_version": 1, "n": "\xff\xfe"}')
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
 
     def test_beta0sq_negative_control_fails(self, capsys):
         code = main(["verify", "--preset", "example3",
