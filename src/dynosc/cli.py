@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import PRESET_NAMES, load_config, preset_config
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
 from .oracle import MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum, quadrature_moment
 from .states import MOMENTUM, POSITION, StateSpec, sample_frame, uniform_grid
@@ -101,20 +101,20 @@ def _moment_rows(config, check=False):
     rows = [header]
     spec = StateSpec(config.params, config.n)
     grid = uniform_grid(config.grid.x_min, config.grid.x_max, config.grid.points)
-    for t in config.time.times():
-        m = classical_moments(config.params, config.n, t)
-        row = [t, m.mean_x, m.mean_p, m.var_x, m.var_p, m.product, m.energy]
+    times = config.time.times()
+    m = classical_moments(config.params, config.n, times)
+    checked = (m.mean_x, m.mean_p, m.var_x, m.var_p)
+    for k, t in enumerate(times):
+        row = [t, *(c[k] for c in checked), m.product[k], m.energy[k]]
         if check:
             pos = sample_frame(spec, POSITION, grid, t)
             mom = dft_momentum(pos)
             qx = quadrature_moment(pos, 1)
             qp = quadrature_moment(mom, 1)
-            qvx = quadrature_moment(pos, 2) - qx * qx
-            qvp = quadrature_moment(mom, 2) - qp * qp
-            row += [abs(qx - m.mean_x) / max(1.0, abs(m.mean_x)),
-                    abs(qp - m.mean_p) / max(1.0, abs(m.mean_p)),
-                    abs(qvx - m.var_x) / max(1.0, abs(m.var_x)),
-                    abs(qvp - m.var_p) / max(1.0, abs(m.var_p))]
+            quad = (qx, qp, quadrature_moment(pos, 2) - qx * qx,
+                    quadrature_moment(mom, 2) - qp * qp)
+            row += [abs(q - c[k]) / max(1.0, abs(c[k]))
+                    for q, c in zip(quad, checked)]
         rows.append(",".join(_fmt(v) for v in row))
     return "\n".join(rows) + "\n"
 
@@ -207,10 +207,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        return args.func(args, config)
+    # Domain and overflow errors: valid-looking data float64 cannot represent.
+    except (ConfigError, DomainError, OverflowError) as exc:
+        reason = "float64 overflow" if isinstance(exc, OverflowError) else exc
+        print(f"config error: {reason}", file=sys.stderr)
         return EXIT_CONFIG
-    return args.func(args, config)
 
 
 if __name__ == "__main__":

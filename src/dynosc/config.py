@@ -113,6 +113,7 @@ def preset_config(name):
 
 
 _OPTIONAL_PARAMS = ("alpha0", "gamma0", "delta0", "eps0", "kappa0")
+_TOP_KEYS = ("schema_version", "params", "n", "grid", "time", "outputs")
 
 
 def _require(mapping, key, kind, where):
@@ -136,10 +137,18 @@ def _require(mapping, key, kind, where):
     return value
 
 
+def _reject_unknown(mapping, allowed, where):
+    unknown = [key for key in mapping if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}; "
+                          f"allowed: {list(allowed)}")
+
+
 def config_from_dict(raw):
     """Build and validate a RunConfig from parsed JSON."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown(raw, _TOP_KEYS, "config")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -147,6 +156,7 @@ def config_from_dict(raw):
     p = raw.get("params")
     if not isinstance(p, dict):
         raise ConfigError("missing 'params' object")
+    _reject_unknown(p, [f.name for f in fields(OscillatorParams)], "params")
     p = {**dict.fromkeys(_OPTIONAL_PARAMS, 0.0), **p}
     try:
         params = OscillatorParams(**{
@@ -158,6 +168,8 @@ def config_from_dict(raw):
     t = raw.get("time", {})
     if not isinstance(g, dict) or not isinstance(t, dict):
         raise ConfigError("'grid' and 'time' must be objects")
+    _reject_unknown(g, [f.name for f in fields(GridSpec)], "grid")
+    _reject_unknown(t, [f.name for f in fields(TimeSpec)], "time")
     grid = GridSpec(
         x_min=_require(g, "x_min", float, "grid."),
         x_max=_require(g, "x_max", float, "grid."),

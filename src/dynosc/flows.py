@@ -26,6 +26,8 @@ mu0 = beta0 = 1 with the rest zero, gamma(t) = gamma0 - t/2.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .hermite import check_order
 
@@ -80,12 +82,12 @@ class ParamState:
 
     def __post_init__(self):
         if not self.mu > 0:
-            raise ValueError(f"mu must stay positive, got {self.mu}")
+            raise DomainError(f"mu must stay positive, got {self.mu}")
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Closed-form first and second moments of one state at one time."""
+    """Closed-form first and second moments of one state at one or more times."""
 
     mean_x: float
     mean_p: float
@@ -96,19 +98,27 @@ class MomentSet:
     n: int
 
     def __post_init__(self):
-        if self.var_x <= 0 or self.var_p <= 0:
-            raise ValueError("variances must be positive")
+        values = np.array((self.mean_x, self.mean_p, self.var_x, self.var_p,
+                           self.product, self.energy))
+        if not np.isfinite(values).all():
+            raise DomainError("moments must be finite")
+        if (values[2:4] <= 0).any():
+            raise DomainError("variances must be positive")
         floor = (self.n + 0.5) ** 2 - 1e-9
-        if self.product < floor:
-            raise ValueError(
-                f"uncertainty product {self.product} below floor {floor}")
+        if (values[4] < floor).any():
+            raise DomainError(f"uncertainty product {values[4].min()} "
+                              f"below floor {floor}")
+
+
+def _scalar_or_array(value, t):
+    return float(value) if np.ndim(t) == 0 else value
 
 
 def discriminant(params, t):
-    """Shared denominator D(t) = beta0^4 sin^2 t + (2 alpha0 sin t + cos t)^2."""
-    s, c = math.sin(t), math.cos(t)
+    """D(t) = beta0^4 sin^2 t + (2 alpha0 sin t + cos t)^2 at a scalar or array t."""
+    s, c = np.sin(t), np.cos(t)
     base = 2.0 * params.alpha0 * s + c
-    return params.beta0 ** 4 * s * s + base * base
+    return _scalar_or_array(params.beta0 ** 4 * s * s + base * base, t)
 
 
 def _continuous_angle(params, t):
@@ -126,6 +136,7 @@ def flow(params, t):
     At t = 0 this reproduces the initial data exactly; gamma uses the
     continuous branch described in the module docstring.
     """
+    # Scalar math: np.arctan2 can be 1 ulp off math.atan2 and move every phase.
     a0, b0 = params.alpha0, params.beta0
     d0, e0 = params.delta0, params.eps0
     s, c = math.sin(t), math.cos(t)
@@ -184,33 +195,33 @@ def momentum_params(params, denominator=BETA0_QUARTIC):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # MomentSet rejects inf and nan
 def classical_moments(params, n, t):
     """Closed-form <x>, <p>, variances, uncertainty product and energy.
 
     The means follow the classical harmonic motion (Ehrenfest), so
     (mean_x^2 + mean_p^2)/2 is conserved.  The variances depend on n only
-    through the common factor n + 1/2.
+    through the common factor n + 1/2.  Accepts a scalar t (float fields) or
+    an array of times (array fields).
     """
     n = check_order(n)
     a0, b0, d0, e0 = params.alpha0, params.beta0, params.delta0, params.eps0
-    s, c = math.sin(t), math.cos(t)
+    t = np.asarray(t, dtype=float)
+    s, c = np.sin(t), np.cos(t)
     drift = 2.0 * a0 * e0 - b0 * d0
     mean_x = -(drift * s + e0 * c) / b0
     mean_p = -(drift * c - e0 * s) / b0
     qsum = 4.0 * a0 ** 2 + b0 ** 4
-    osc = (qsum - 1.0) * math.cos(2.0 * t) - 4.0 * a0 * math.sin(2.0 * t)
+    osc = (qsum - 1.0) * np.cos(2.0 * t) - 4.0 * a0 * np.sin(2.0 * t)
     scale = (n + 0.5) / (2.0 * b0 ** 2)
     var_p = scale * (1.0 + qsum + osc)
     var_x = scale * (1.0 + qsum - osc)
-    return MomentSet(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=var_x,
-        var_p=var_p,
-        product=var_x * var_p,
-        energy=0.5 * (mean_x ** 2 + mean_p ** 2),
-        n=n,
-    )
+    # float_power calls libm pow like the scalar `**`; x * x can differ by 1 ulp.
+    energy = 0.5 * (np.float_power(mean_x, 2) + np.float_power(mean_p, 2))
+    fields = dict(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p,
+                  product=var_x * var_p, energy=energy)
+    return MomentSet(**{k: _scalar_or_array(v, t) for k, v in fields.items()},
+                     n=n)
 
 
 def is_minimum_uncertainty_family(params, tol):

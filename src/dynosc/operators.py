@@ -63,7 +63,6 @@ class OperatorReport:
 
     residual_l2: float
     eigenvalue_estimate: float
-    grid_spacing: float
 
     def __post_init__(self):
         if self.residual_l2 < 0:
@@ -123,7 +122,7 @@ def invariant_report(spec, frame, t, margin=INTERIOR_MARGIN):
     estimate = rayleigh_quotient(frame, transformed, margin)
     resid = interior(transformed.amplitudes - estimate * frame.amplitudes, margin)
     rel = l2_norm(resid, frame.dx) / l2_norm(interior(frame.amplitudes, margin), frame.dx)
-    return OperatorReport(rel, estimate, frame.dx)
+    return OperatorReport(rel, estimate)
 
 
 def commutator_check(t, params, test_frames):
@@ -132,7 +131,6 @@ def commutator_check(t, params, test_frames):
     adag = FirstOrderOperator.at_time(CREATION, params, t)
     worst = 0.0
     estimate = math.nan
-    dx = math.nan
     for frame in test_frames:
         lowered = apply_ladder(a, apply_ladder(adag, frame)).amplitudes
         raised = apply_ladder(adag, apply_ladder(a, frame)).amplitudes
@@ -142,5 +140,4 @@ def commutator_check(t, params, test_frames):
         if rel >= worst:
             worst = rel
             estimate = rayleigh_quotient(frame, commuted)
-            dx = frame.dx
-    return OperatorReport(worst, estimate, dx)
+    return OperatorReport(worst, estimate)

@@ -105,10 +105,13 @@ def schrodinger_residual(spec, grid, t, dt=1e-4):
     return ResidualReport(l2, linf, npts, dt)
 
 
-def _trapezoid_weights(n, dx):
-    w = np.full(n, dx)
-    w[0] = w[-1] = 0.5 * dx
-    return w
+def _quadrature_transform(frame, grid, phase, representation):
+    """Trapezoid sums of e^{phase k x} f(x) / sqrt(2 pi) over the frame grid."""
+    weights = np.full(frame.grid.size, frame.dx)
+    weights[0] = weights[-1] = 0.5 * frame.dx
+    kernel = np.exp(phase * np.outer(grid, frame.grid))
+    amps = kernel @ (weights * frame.amplitudes) / math.sqrt(2.0 * math.pi)
+    return WaveFrame(representation, frame.t, grid, amps)
 
 
 def dft_momentum(frame, p_grid=None):
@@ -127,10 +130,7 @@ def dft_momentum(frame, p_grid=None):
             "boundary density exceeds 1e-12; momentum samples lose accuracy",
             PrecisionWarning, stacklevel=2)
     p = frame.grid if p_grid is None else np.asarray(p_grid, dtype=float)
-    weights = _trapezoid_weights(frame.grid.size, frame.dx)
-    kernel = np.exp(-1j * np.outer(p, frame.grid))
-    amps = kernel @ (weights * frame.amplitudes) / math.sqrt(2.0 * math.pi)
-    return WaveFrame(MOMENTUM, frame.t, p, amps)
+    return _quadrature_transform(frame, p, -1j, MOMENTUM)
 
 
 def idft_position(frame, x_grid=None):
@@ -138,10 +138,7 @@ def idft_position(frame, x_grid=None):
     if frame.representation != MOMENTUM:
         raise DomainError("idft_position expects a momentum-representation frame")
     x = frame.grid if x_grid is None else np.asarray(x_grid, dtype=float)
-    weights = _trapezoid_weights(frame.grid.size, frame.dx)
-    kernel = np.exp(1j * np.outer(x, frame.grid))
-    amps = kernel @ (weights * frame.amplitudes) / math.sqrt(2.0 * math.pi)
-    return WaveFrame(POSITION, frame.t, x, amps)
+    return _quadrature_transform(frame, x, 1j, POSITION)
 
 
 def split_step_propagate(initial, t_final, steps):

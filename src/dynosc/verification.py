@@ -55,7 +55,8 @@ class CheckResult:
 
 
 def _below(name, value, tol):
-    return CheckResult(name, float(value), f"< {tol:g}", value < tol)
+    value = float(value)
+    return CheckResult(name, value, f"< {tol:g}", value < tol)
 
 
 def _above(name, value, tol):
@@ -175,7 +176,7 @@ def ladder_algebra():
             lower = FirstOrderOperator.at_time(ANNIHILATION, cfg.params, t)
             raise_ = FirstOrderOperator.at_time(CREATION, cfg.params, t)
             states = {n: eval_psi_invariant_frame(StateSpec(cfg.params, n), grid, t)
-                      for n in range(8)}
+                      for n in range(7)}
             norms = {n: l2_norm(interior(states[n]), dx) for n in states}
             for n in range(1, 7):
                 frame = WaveFrame(POSITION, t, grid, states[n])
@@ -211,9 +212,9 @@ def textbook_limit():
             expected = static * np.exp(-1j * (n + 0.5) * t)
             worst_point = max(worst_point,
                               float(np.max(np.abs(frame.amplitudes - expected))))
-            m = classical_moments(cfg.params, n, t)
-            worst_var = max(worst_var, abs(m.var_x - (n + 0.5)),
-                            abs(m.var_p - (n + 0.5)))
+        m = classical_moments(cfg.params, n, EIGHT_TIMES)
+        worst_var = max(worst_var, np.max(np.abs(m.var_x - (n + 0.5))),
+                        np.max(np.abs(m.var_p - (n + 0.5))))
     results = [
         _below("textbook_pointwise[schrodinger, n<=6]", worst_point, 1e-12),
         _below("textbook_variances_closed_form", worst_var, 1e-12),
@@ -233,8 +234,8 @@ def textbook_limit():
 
 # -- criterion 5: uncertainty structure --------------------------------------
 
-def _product_minimum(params, n, samples=10000):
-    """Minimum of var_x * var_p over t: dense scan plus analytic extrema.
+def _product_times(params, samples=10000):
+    """Times that pin the minimum of var_x * var_p: dense scan plus extrema.
 
     The oscillating part of the product is B cos 2t - C sin 2t with
     B = 4 alpha0^2 + beta0^4 - 1 and C = 4 alpha0; a uniform grid alone
@@ -243,10 +244,9 @@ def _product_minimum(params, n, samples=10000):
     """
     b = 4.0 * params.alpha0 ** 2 + params.beta0 ** 4 - 1.0
     c = 4.0 * params.alpha0
-    ts = [2.0 * math.pi * k / samples for k in range(samples)]
     base = math.atan2(-c, b)
-    ts.extend((base + k * math.pi) / 2.0 for k in range(4))
-    return min(classical_moments(params, n, t).product for t in ts)
+    return np.concatenate((2.0 * math.pi * np.arange(samples) / samples,
+                           (base + np.arange(4) * math.pi) / 2.0))
 
 
 def uncertainty_structure():
@@ -254,8 +254,9 @@ def uncertainty_structure():
     cases = [(name, cfg.params) for name, cfg in _presets().items()]
     cases += [(f"random{i}", p) for i, p in enumerate(_random_params(6))]
     for name, params in cases:
-        worst = max(abs(_product_minimum(params, n) - (n + 0.5) ** 2)
-                    for n in range(5))
+        ts = _product_times(params)
+        worst = max(abs(np.min(classical_moments(params, n, ts).product)
+                        - (n + 0.5) ** 2) for n in range(5))
         results.append(_below(f"uncertainty_floor[{name}]", worst, 1e-9))
     mu_params = preset_config("minuncert").params
     product = classical_moments(mu_params, 0, math.pi / 4.0).product
@@ -301,9 +302,8 @@ def momentum_representation(denominator=BETA0_QUARTIC):
 def animation_reproduction():
     dense = np.linspace(0.0, 2.0 * math.pi, 401)
     ex1 = preset_config("example1")
-    worst_center = max(
-        abs(classical_moments(ex1.params, 0, t).mean_x - math.sin(t))
-        for t in dense)
+    worst_center = np.max(np.abs(
+        classical_moments(ex1.params, 0, dense).mean_x - np.sin(dense)))
     worst_width = max(
         abs(flow(ex1.params, t).beta ** 2 - 72.0 / (97.0 + 65.0 * math.cos(2.0 * t)))
         for t in dense)
@@ -315,10 +315,9 @@ def animation_reproduction():
         peak = grid[int(np.argmax(frame.density()))]
         worst_peak = max(worst_peak, abs(peak - math.sin(t)))
     ex3 = preset_config("example3")
-    worst_mom_var = max(
-        abs(classical_moments(ex3.params, 0, t).var_p
-            - (97.0 - 65.0 * math.cos(2.0 * t)) / 144.0)
-        for t in dense)
+    worst_mom_var = np.max(np.abs(
+        classical_moments(ex3.params, 0, dense).var_p
+        - (97.0 - 65.0 * np.cos(2.0 * dense)) / 144.0))
     return [
         _below("example1_center_tracks_sin_t", worst_center, 1e-12),
         _below("example1_width_squared", worst_width, 1e-12),
@@ -332,18 +331,15 @@ def animation_reproduction():
 def _classical_drift(params):
     """(energy drift, Ehrenfest residual) of the n = 0 moments over one period."""
     h = 1e-5
+    t = np.linspace(0.0, 2.0 * math.pi, 257)
     energy0 = classical_moments(params, 0, 0.0).energy
-    drift = 0.0
-    ehrenfest = 0.0
-    for t in np.linspace(0.0, 2.0 * math.pi, 257):
-        m = classical_moments(params, 0, t)
-        drift = max(drift, abs(m.energy - energy0))
-        plus = classical_moments(params, 0, t + h)
-        minus = classical_moments(params, 0, t - h)
-        ehrenfest = max(
-            ehrenfest,
-            abs((plus.mean_x - minus.mean_x) / (2 * h) - m.mean_p),
-            abs((plus.mean_p - minus.mean_p) / (2 * h) + m.mean_x))
+    m = classical_moments(params, 0, t)
+    plus = classical_moments(params, 0, t + h)
+    minus = classical_moments(params, 0, t - h)
+    drift = np.max(np.abs(m.energy - energy0))
+    ehrenfest = max(
+        np.max(np.abs((plus.mean_x - minus.mean_x) / (2 * h) - m.mean_p)),
+        np.max(np.abs((plus.mean_p - minus.mean_p) / (2 * h) + m.mean_x)))
     return drift, ehrenfest
 
 

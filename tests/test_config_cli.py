@@ -103,6 +103,10 @@ class TestConfig:
         ({"grid": {"x_max": math.nan}}, "x_max' must be a finite number"),
         ({"params": {"beta0": 1e-200}}, "finite nonzero fourth power"),
         ({"params": {"beta0": -1e100}}, "finite nonzero fourth power"),
+        ({"colour": "red"}, "unknown keys in config"),
+        ({"params": {"alpha_0": 0.5}}, "unknown keys in params"),
+        ({"grid": {"point": 64}}, "unknown keys in grid"),
+        ({"time": {"frame": 3}}, "unknown keys in time"),
     ])
     def test_validation_errors(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path, **overrides)
@@ -344,6 +348,29 @@ class TestFullBattery:
         assert "[PASS] pde_residual_refined[example1, n=5]" in out
         assert "[PASS] comoving_exactly_one_convention" in out
         assert "4 CHECK(S) FAILED" in out
+
+
+class TestUnrepresentableData:
+    # Valid-looking data whose closed forms leave the float64 range: the
+    # variances cancel to zero, a square overflows, or the grid spacing
+    # cannot be uniform.
+    @pytest.mark.parametrize("command,overrides", [
+        *((cmd, {"params": p}) for cmd in ("moments", "evolve")
+          for p in ({"alpha0": 1e9}, {"beta0": 1e70}, {"beta0": 1e-70})),
+        *((cmd, {"params": p}) for cmd in ("moments", "evolve", "verify")
+          for p in ({"delta0": 1e160}, {"delta0": 1e200}, {"eps0": 1e200})),
+        ("evolve", {"grid": {"x_min": -12.0, "x_max": -11.999999999999}}),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(
+        f"{k}={x}" for d in v.values() for k, x in d.items()))
+    def test_config_error_exit_code(self, tmp_path, capsys, command,
+                                    overrides):
+        path = write_config(tmp_path, outputs=["position_density", "moments"],
+                            **overrides)
+        argv = [command, "--config", str(path)]
+        if command == "evolve":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestGoldenFrames:

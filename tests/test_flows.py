@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from dynosc import (BETA0_SQUARED, DomainError, MomentSet, OscillatorParams,
                     classical_moments, discriminant, flow,
                     is_minimum_uncertainty_family, momentum_params)
+from dynosc import verification as ver
 
 finite_params = st.builds(
     OscillatorParams,
@@ -212,6 +213,26 @@ class TestMoments:
                     m.mean_p, abs=1e-8)
                 assert (plus.mean_p - minus.mean_p) / (2 * h) == pytest.approx(
                     -m.mean_x, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_array_times_equal_scalar_calls(self, random_params, n):
+        # Over the criterion-5 times (dense scan plus analytic extremizers).
+        for params in random_params:
+            ts = ver._product_times(params)
+            scalars = [classical_moments(params, n, t) for t in ts.tolist()]
+            m = classical_moments(params, n, ts)
+            for name in ("mean_x", "mean_p", "var_x", "var_p", "product",
+                         "energy"):
+                column = [getattr(s, name) for s in scalars]
+                assert all(type(v) is float for v in column)
+                assert np.all(getattr(m, name) == column), name
+            assert np.all(discriminant(params, ts)
+                          == [discriminant(params, t) for t in ts.tolist()])
+
+    def test_moment_set_rejects_nonfinite(self):
+        with pytest.raises(DomainError, match="finite"):
+            MomentSet(mean_x=math.inf, mean_p=0.0, var_x=0.5, var_p=0.5,
+                      product=0.25, energy=math.inf, n=0)
 
     def test_moment_set_rejects_floor_violation(self):
         with pytest.raises(ValueError, match="uncertainty product"):
