@@ -14,6 +14,7 @@ with its sha256.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -145,6 +146,9 @@ def cmd_evolve(args, config):
     want_momentum = "momentum_density" in config.outputs
     manifest = {"schema_version": 1, "config_echo": config.to_dict(),
                 "frames": []}
+    # Every file this run creates, so a failed run can take them back.
+    written = []
+    complete = False
     try:
         for index, t in enumerate(config.time.times(), start=1):
             emitted = []
@@ -155,17 +159,26 @@ def cmd_evolve(args, config):
                 emitted.append((f"momentum_{index:04d}.csv",
                                 build_packet(config, t, MOMENTUM)))
             for name, columns in emitted:
-                digest = _write(out_dir / name, _frame_rows(columns))
+                written.append(out_dir / name)
+                digest = _write(written[-1], _frame_rows(columns))
                 manifest["frames"].append(
                     {"index": index, "t": t, "file": name, "sha256": digest})
         if "moments" in config.outputs:
-            digest = _write(out_dir / "moments.csv", _moment_rows(config))
+            written.append(out_dir / "moments.csv")
+            digest = _write(written[-1], _moment_rows(config))
             manifest["moments_file"] = {"file": "moments.csv", "sha256": digest}
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        (out_dir / "manifest.json").write_bytes(manifest_text.encode("utf-8"))
+        written.append(out_dir / "manifest.json")
+        written[-1].write_bytes(manifest_text.encode("utf-8"))
+        complete = True
     except OSError as exc:
         print(f"write failed: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if not complete:
+            for path in written:
+                with contextlib.suppress(OSError):
+                    path.unlink()
     print(f"wrote {len(manifest['frames'])} frame file(s) to {out_dir}")
     return EXIT_OK
 

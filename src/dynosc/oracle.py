@@ -15,6 +15,7 @@ tau = -2 gamma are implemented; the residual decides between them (the
 factor-two clock is the one that makes the textbook case the identity map).
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,7 +83,11 @@ class ComovingFrame:
 def _relative_norms(residual, reference, dx, margin=INTERIOR_MARGIN):
     res = interior(residual, margin)
     ref = interior(reference, margin)
-    l2 = l2_norm(res, dx) / l2_norm(ref, dx)
+    ref_l2 = l2_norm(ref, dx)
+    # A zero L2 norm also covers a zero maximum: every sample underflowed.
+    if ref_l2 == 0:
+        raise DomainError("the state vanishes on the interior grid")
+    l2 = l2_norm(res, dx) / ref_l2
     linf = float(np.max(np.abs(res)) / np.max(np.abs(ref)))
     return l2, linf, res.size
 
@@ -105,11 +110,29 @@ def schrodinger_residual(spec, grid, t, dt=1e-4):
     return ResidualReport(l2, linf, npts, dt)
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel(phase, out_bytes, in_bytes):
+    """Read-only e^{phase k x} matrix, keyed on the grid values themselves.
+
+    One entry (16 N^2 bytes for N-point grids): the DFT callers transform one
+    grid after another, so only the most recent kernel is worth keeping.  On
+    a miss the cache still holds the previous kernel, so the new one is built
+    in place, with the same arithmetic as exp(phase * outer(k, x)).
+    """
+    out_grid, in_grid = np.frombuffer(out_bytes), np.frombuffer(in_bytes)
+    kernel = np.empty((out_grid.size, in_grid.size), dtype=complex)
+    np.multiply.outer(out_grid, in_grid, out=kernel)
+    kernel *= phase
+    np.exp(kernel, out=kernel)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _quadrature_transform(frame, grid, phase, representation):
     """Trapezoid sums of e^{phase k x} f(x) / sqrt(2 pi) over the frame grid."""
     weights = np.full(frame.grid.size, frame.dx)
     weights[0] = weights[-1] = 0.5 * frame.dx
-    kernel = np.exp(phase * np.outer(grid, frame.grid))
+    kernel = _kernel(phase, grid.tobytes(), frame.grid.tobytes())
     amps = kernel @ (weights * frame.amplitudes) / math.sqrt(2.0 * math.pi)
     return WaveFrame(representation, frame.t, grid, amps)
 

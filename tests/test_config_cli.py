@@ -268,6 +268,25 @@ class TestEvolveCommand:
     def test_needs_source(self, tmp_path):
         assert main(["evolve", "--out", str(tmp_path / "x")]) == 2
 
+    def test_failed_run_leaves_no_files(self, tmp_path, capsys):
+        # The frames are written before the moment table fails: its
+        # variances cancel to zero.
+        path = write_config(tmp_path, params={"alpha0": 1e9},
+                            outputs=["position_density", "moments"])
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_write_leaves_no_files(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "position_0002.csv").mkdir(parents=True)  # blocks the 2nd frame
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert "write failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["position_0002.csv"]
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("source", ["preset", "config_n3"])
@@ -300,6 +319,15 @@ class TestVerifyCommand:
         path = write_config(tmp_path, params={"beta0": 0.0})
         assert main(["verify", "--config", str(path)]) == 2
         assert "beta0 must be nonzero" in capsys.readouterr().err
+
+    def test_vanishing_state_exit_code(self, tmp_path, capsys):
+        # Every sample underflows, so the residual reference norm is zero.
+        path = write_config(tmp_path, params={"beta0": 1e70},
+                            grid={"points": 1024})
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):

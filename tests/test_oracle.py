@@ -94,6 +94,14 @@ class TestResidualReport:
             ResidualReport(0.0, 0.0, 4, 0.0)
 
 
+def uncached_transform(frame, grid, phase):
+    """The quadrature with a freshly built e^{phase k x} kernel."""
+    weights = np.full(frame.grid.size, frame.dx)
+    weights[0] = weights[-1] = 0.5 * frame.dx
+    kernel = np.exp(phase * np.outer(grid, frame.grid))
+    return kernel @ (weights * frame.amplitudes) / math.sqrt(2.0 * math.pi)
+
+
 class TestFourier:
     def test_gaussian_self_transform(self):
         x = uniform_grid(-12.0, 12.0, 1024)
@@ -146,6 +154,48 @@ class TestFourier:
             dft_momentum(mom)
         with pytest.raises(DomainError):
             idft_position(pos)
+
+    # The cached kernel must reproduce the uncached quadrature bit for bit,
+    # whatever order grids and signs arrive in.
+    def test_alternating_grids(self):
+        spec = StateSpec(EXAMPLE3, 1)
+        frames = [sample_frame(spec, POSITION, uniform_grid(-a, a, 1024), 0.4)
+                  for a in (12.0, 14.0, 12.0)]
+        for frame in frames:
+            out = dft_momentum(frame)
+            assert np.all(out.amplitudes
+                          == uncached_transform(frame, frame.grid, -1j))
+
+    def test_alternating_directions(self):
+        x = uniform_grid(-12.0, 12.0, 1024)
+        pos = sample_frame(StateSpec(EXAMPLE1, 2), POSITION, x, 1.3)
+        for _ in range(2):
+            mom = dft_momentum(pos)
+            assert np.all(mom.amplitudes == uncached_transform(pos, x, -1j))
+            back = idft_position(mom)
+            assert np.all(back.amplitudes == uncached_transform(mom, x, 1j))
+
+    def test_grid_mutated_in_place(self):
+        x = uniform_grid(-12.0, 12.0, 1024)
+        pos = sample_frame(StateSpec(EXAMPLE3, 0), POSITION, x, 0.0)
+        p = uniform_grid(-12.0, 12.0, 1024)
+        first = dft_momentum(pos, p).amplitudes.copy()
+        p.setflags(write=True)  # the returned frame froze the caller's grid
+        p *= 0.5
+        second = dft_momentum(pos, p).amplitudes
+        assert np.all(second == uncached_transform(pos, p, -1j))
+        assert not np.all(second == first)
+
+    def test_written_amplitudes_leave_the_kernel_alone(self):
+        x = uniform_grid(-12.0, 12.0, 1024)
+        pos = sample_frame(StateSpec(MINUNCERT, 4), POSITION, x, 0.9)
+        out = dft_momentum(pos)
+        # The frame freezes its amplitudes, but it owns them, so they can be
+        # made writable again without touching anything shared.
+        out.amplitudes.setflags(write=True)
+        out.amplitudes[:] = 7.0
+        again = dft_momentum(pos)
+        assert np.all(again.amplitudes == uncached_transform(pos, x, -1j))
 
 
 class TestSplitStep:
