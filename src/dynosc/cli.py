@@ -20,6 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import PRESET_NAMES, load_config, preset_config
 from .errors import ConfigError, DomainError
 from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
@@ -31,11 +33,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-
-def _fmt(value):
-    """Shortest round-trip decimal of a 64-bit float."""
-    return repr(float(value))
 
 
 def _resolve_config(args):
@@ -57,18 +54,12 @@ def _add_source_options(parser):
                         help="built-in run configuration")
 
 
-def build_packet(config, t, representation):
-    """Named CSV columns of one exported frame."""
-    spec = StateSpec(config.params, config.n)
-    grid = uniform_grid(config.grid.x_min, config.grid.x_max,
-                        config.grid.points)
+def build_packet(spec, grid, t, representation):
+    """CSV header and the value columns that follow the grid column of a frame."""
     frame = sample_frame(spec, representation, grid, t)
-    if representation == POSITION:
-        names = ("x", "density", "re_psi", "im_psi")
-    else:
-        names = ("p", "density", "re_a", "im_a")
-    return dict(zip(names, (frame.grid, frame.density(),
-                            frame.amplitudes.real, frame.amplitudes.imag)))
+    header = ("x,density,re_psi,im_psi" if representation == POSITION
+              else "p,density,re_a,im_a")
+    return header, (frame.density(), frame.amplitudes.real, frame.amplitudes.imag)
 
 
 def cmd_verify(args, config):
@@ -88,36 +79,44 @@ def cmd_verify(args, config):
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def _frame_rows(columns):
-    rows = [",".join(columns)]
-    for values in zip(*columns.values()):
-        rows.append(",".join(_fmt(v) for v in values))
-    return "\n".join(rows) + "\n"
+def _column_text(values):
+    """Shortest round-trip decimal of each value, via Python floats (the
+    repr of a NumPy 2 scalar reads `np.float64(...)`)."""
+    return list(map(repr, values.tolist()))
+
+
+def _csv(header, texts):
+    """CSV text from a header and columns already formatted as strings."""
+    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
+
+
+def _frame_rows(header, grid_text, columns):
+    """One frame CSV; grid_text is the grid column, formatted once per run."""
+    return _csv(header, [grid_text, *map(_column_text, columns)])
 
 
 def _moment_rows(config, check=False):
     header = "t,mean_x,mean_p,var_x,var_p,product,energy"
-    if check:
-        header += ",err_mean_x,err_mean_p,err_var_x,err_var_p"
-    rows = [header]
-    spec = StateSpec(config.params, config.n)
-    grid = uniform_grid(config.grid.x_min, config.grid.x_max, config.grid.points)
     times = config.time.times()
     m = classical_moments(config.params, config.n, times)
     checked = (m.mean_x, m.mean_p, m.var_x, m.var_p)
-    for k, t in enumerate(times):
-        row = [t, *(c[k] for c in checked), m.product[k], m.energy[k]]
-        if check:
+    columns = [np.asarray(times, dtype=float), *checked, m.product, m.energy]
+    if check:
+        header += ",err_mean_x,err_mean_p,err_var_x,err_var_p"
+        spec = StateSpec(config.params, config.n)
+        grid = uniform_grid(config.grid.x_min, config.grid.x_max, config.grid.points)
+        errors = []
+        for k, t in enumerate(times):
             pos = sample_frame(spec, POSITION, grid, t)
             mom = dft_momentum(pos)
             qx = quadrature_moment(pos, 1)
             qp = quadrature_moment(mom, 1)
             quad = (qx, qp, quadrature_moment(pos, 2) - qx * qx,
                     quadrature_moment(mom, 2) - qp * qp)
-            row += [abs(q - c[k]) / max(1.0, abs(c[k]))
-                    for q, c in zip(quad, checked)]
-        rows.append(",".join(_fmt(v) for v in row))
-    return "\n".join(rows) + "\n"
+            errors.append([abs(q - c[k]) / max(1.0, abs(c[k]))
+                           for q, c in zip(quad, checked)])
+        columns += list(np.array(errors, dtype=float).T)
+    return _csv(header, map(_column_text, columns))
 
 
 def cmd_moments(args, config):
@@ -141,9 +140,14 @@ def cmd_evolve(args, config):
     except OSError as exc:
         print(f"output directory not writable: {exc}", file=sys.stderr)
         return EXIT_IO
-    want_position = ("position_density" in config.outputs
-                     or "wavefunction" in config.outputs)
-    want_momentum = "momentum_density" in config.outputs
+    representations = [rep for rep, wanted in (
+        (POSITION, "position_density" in config.outputs
+         or "wavefunction" in config.outputs),
+        (MOMENTUM, "momentum_density" in config.outputs)) if wanted]
+    spec = StateSpec(config.params, config.n)
+    grid = uniform_grid(config.grid.x_min, config.grid.x_max,
+                        config.grid.points)
+    grid_text = _column_text(grid)
     manifest = {"schema_version": 1, "config_echo": config.to_dict(),
                 "frames": []}
     # Every file this run creates, so a failed run can take them back.
@@ -151,16 +155,11 @@ def cmd_evolve(args, config):
     complete = False
     try:
         for index, t in enumerate(config.time.times(), start=1):
-            emitted = []
-            if want_position:
-                emitted.append((f"position_{index:04d}.csv",
-                                build_packet(config, t, POSITION)))
-            if want_momentum:
-                emitted.append((f"momentum_{index:04d}.csv",
-                                build_packet(config, t, MOMENTUM)))
-            for name, columns in emitted:
+            for representation in representations:
+                name = f"{representation}_{index:04d}.csv"
+                header, columns = build_packet(spec, grid, t, representation)
                 written.append(out_dir / name)
-                digest = _write(written[-1], _frame_rows(columns))
+                digest = _write(written[-1], _frame_rows(header, grid_text, columns))
                 manifest["frames"].append(
                     {"index": index, "t": t, "file": name, "sha256": digest})
         if "moments" in config.outputs:

@@ -44,6 +44,20 @@ class StateSpec:
         check_order(self.n)
 
 
+def _frozen(values, dtype):
+    """Read-only array of values that no caller can write through.
+
+    A read-only array that owns its data (another frame's, or one handed over
+    frozen) is kept; a caller's writable array or view is copied, so freezing
+    never reaches it.
+    """
+    out = np.asarray(values, dtype=dtype)
+    if out is values and (out.flags.writeable or not out.flags.owndata):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WaveFrame:
     """Complex amplitude samples on a uniform grid at one time."""
@@ -57,8 +71,8 @@ class WaveFrame:
         if self.representation not in (POSITION, MOMENTUM):
             raise DomainError(
                 f"representation must be {POSITION!r} or {MOMENTUM!r}")
-        grid = np.asarray(self.grid, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        grid = _frozen(self.grid, float)
+        amps = _frozen(self.amplitudes, complex)
         if grid.ndim != 1 or grid.size < MIN_GRID_POINTS:
             raise DomainError(
                 f"grid must be 1-D with at least {MIN_GRID_POINTS} points")
@@ -72,8 +86,6 @@ class WaveFrame:
             raise DomainError("amplitudes must match the grid point for point")
         if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
             raise DomainError("amplitudes must be finite")
-        grid.setflags(write=False)
-        amps.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -138,4 +150,7 @@ def sample_frame(spec, representation, grid, t):
     else:
         raise DomainError(
             f"representation must be {POSITION!r} or {MOMENTUM!r}")
+    # Fresh samples: frozen here, the frame keeps them without a copy.
+    amps = np.asarray(amps)
+    amps.setflags(write=False)
     return WaveFrame(representation, float(t), grid, amps)

@@ -3,12 +3,15 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dynosc import ConfigError
+from dynosc import (MOMENTUM, POSITION, ConfigError, StateSpec, sample_frame,
+                    uniform_grid)
+from dynosc import cli
 from dynosc.cli import main
 from dynosc.config import (PRESET_NAMES, RunConfig, config_from_dict,
                            load_config, preset_config)
@@ -286,6 +289,91 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
         assert "write failed" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["position_0002.csv"]
+
+
+def reference_csv(header, columns):
+    """CSV text formatted one value at a time, as repr(float(v))."""
+    rows = [header] + [",".join(repr(float(v)) for v in row)
+                       for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
+
+
+def assert_same_text(got, want):
+    # Line by line, so a mismatch reports one row, not a diff of megabytes.
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for k, (a, b) in enumerate(zip(got_lines, want_lines)):
+        assert a == b, f"line {k}"
+    assert len(got_lines) == len(want_lines)
+
+
+# Where repr changes layout or precision: zero signs, the smallest subnormal
+# and normal, the switch to exponent notation below 1e-4 and from 1e16, and
+# the largest finite value.
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001,
+               1e16, 9999999999999998.0, 2.0, 0.1, 1.7976931348623157e308]
+
+
+def finite_bit_patterns(count, seed):
+    bits = np.random.default_rng(seed).integers(
+        0, 2 ** 64, size=count, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    edges = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    return np.concatenate([edges, values])
+
+
+class TestExportBytes:
+    """The bulk formatter writes the same bytes as repr(float(v)) per value."""
+
+    def test_frame_rows_equal_per_value_repr(self):
+        values = finite_bit_patterns(100_000, seed=6)
+        columns = values[: values.size // 4 * 4].reshape(4, -1)
+        header = "x,density,re_psi,im_psi"
+        text = cli._frame_rows(header, cli._column_text(columns[0]),
+                               tuple(columns[1:]))
+        assert_same_text(text, reference_csv(header, columns))
+
+    def test_moment_rows_equal_per_value_repr(self, tmp_path, monkeypatch):
+        values = finite_bit_patterns(100_000, seed=7)
+        frames = values.size // 6
+        columns = values[: frames * 6].reshape(6, frames)
+        names = ("mean_x", "mean_p", "var_x", "var_p", "product", "energy")
+        monkeypatch.setattr(cli, "classical_moments", lambda params, n, t:
+                            SimpleNamespace(**dict(zip(names, columns))))
+        path = write_config(tmp_path, time={"t_start": -3.0, "t_end": 7.1,
+                                            "frames": frames})
+        config = load_config(path)
+        header = "t,mean_x,mean_p,var_x,var_p,product,energy"
+        assert_same_text(cli._moment_rows(config), reference_csv(
+            header, [config.time.times(), *columns]))
+
+    def test_evolve_bytes_and_manifest(self, tmp_path):
+        path = write_config(
+            tmp_path, params={"mu0": 1.5, "beta0": 2.0 / 3.0, "delta0": 1.5},
+            outputs=["position_density", "wavefunction", "momentum_density"])
+        out = tmp_path / "frames"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        config = load_config(path)
+        spec = StateSpec(config.params, config.n)
+        grid = uniform_grid(-10.0, 10.0, 64)
+        expected = []
+        for index, t in enumerate(config.time.times(), start=1):
+            for prefix, representation, header in (
+                    ("position", POSITION, "x,density,re_psi,im_psi"),
+                    ("momentum", MOMENTUM, "p,density,re_a,im_a")):
+                frame = sample_frame(spec, representation, grid, t)
+                text = reference_csv(header, (
+                    frame.grid, frame.density(), frame.amplitudes.real,
+                    frame.amplitudes.imag))
+                name = f"{prefix}_{index:04d}.csv"
+                assert (out / name).read_bytes() == text.encode("ascii")
+                expected.append({"index": index, "t": t, "file": name,
+                                 "sha256": hashlib.sha256(
+                                     text.encode("ascii")).hexdigest()})
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["frames"] == expected
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [e["file"] for e in expected] + ["manifest.json"])
 
 
 class TestVerifyCommand:

@@ -214,6 +214,8 @@ class TestSampleFrame:
     def test_rejects_bad_grids(self):
         spec = StateSpec(SCHRODINGER, 0)
         with pytest.raises(DomainError):
+            sample_frame(spec, POSITION, 0.5, 0.0)
+        with pytest.raises(DomainError):
             sample_frame(spec, POSITION, np.linspace(0, 1, 8), 0.0)
         with pytest.raises(DomainError):
             sample_frame(spec, POSITION, np.linspace(1, -1, 64), 0.0)
@@ -227,6 +229,22 @@ class TestWaveFrame:
         frame = sample_frame(StateSpec(SCHRODINGER, 0), POSITION, X, 0.0)
         with pytest.raises(ValueError):
             frame.grid[0] = 99.0
+
+    def test_caller_arrays_stay_writable_and_apart(self):
+        grid = uniform_grid(-12.0, 12.0, 64)
+        amps = hermite_function(0, grid).astype(complex)
+        frame = WaveFrame(POSITION, 0.0, grid, amps)
+        derived = frame.with_amplitudes(2.0 * amps)
+        assert grid.flags.writeable and amps.flags.writeable
+        grid_before, amps_before = grid.copy(), amps.copy()
+        grid *= 3.0
+        amps[:] = 7.0
+        for held in (frame, derived):
+            assert not held.grid.flags.writeable
+            assert not held.amplitudes.flags.writeable
+            assert np.all(held.grid == grid_before)
+        assert np.all(frame.amplitudes == amps_before)
+        assert np.all(derived.amplitudes == 2.0 * amps_before)
 
     def test_rejects_mismatched_amplitudes(self):
         with pytest.raises(DomainError):
