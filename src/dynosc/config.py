@@ -21,6 +21,13 @@ OUTPUT_KINDS = ("position_density", "momentum_density", "moments", "wavefunction
 
 PRESET_NAMES = ("schrodinger", "example1", "example2", "example3", "minuncert")
 
+# Upper bounds on a run's size.  `moments --check` holds a 16 N^2-byte
+# quadrature kernel: 1 GiB at 8192 points, the verification battery's largest
+# grid, and ~160 GB at 100,000.  Each frame is a row of `moments` or two CSV
+# files of `evolve`; the frame cap is about a hundred preset clocks.
+MAX_GRID_POINTS = 8192
+MAX_FRAMES = 100_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -31,8 +38,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ConfigError("grid.x_min must be below grid.x_max")
-        if self.points < 16:
-            raise ConfigError("grid.points must be at least 16")
+        if not 16 <= self.points <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid.points must be in [16, {MAX_GRID_POINTS}]")
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,8 @@ class TimeSpec:
     def __post_init__(self):
         if not self.t_start <= self.t_end:
             raise ConfigError("time.t_start must not exceed time.t_end")
-        if self.frames < 1:
-            raise ConfigError("time.frames must be at least 1")
+        if not 1 <= self.frames <= MAX_FRAMES:
+            raise ConfigError(f"time.frames must be in [1, {MAX_FRAMES}]")
 
     def times(self):
         """Frame times; a single frame sits at t_start."""

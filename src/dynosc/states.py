@@ -80,11 +80,14 @@ class WaveFrame:
         if not np.all(steps > 0):
             raise DomainError("grid must be strictly increasing")
         h = steps[0]
-        if not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * abs(h)):
+        # The verdict of np.allclose(steps, h, rtol=1e-9, atol=1e-12 |h|):
+        # |steps - h| <= atol + rtol |h| everywhere, and h finite.
+        if (not math.isfinite(h)
+                or np.max(np.abs(steps - h)) > 1e-12 * abs(h) + 1e-9 * abs(h)):
             raise DomainError("grid must be uniformly spaced")
         if amps.shape != grid.shape:
             raise DomainError("amplitudes must match the grid point for point")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise DomainError("amplitudes must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amplitudes", amps)

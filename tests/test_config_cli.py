@@ -13,8 +13,9 @@ from dynosc import (MOMENTUM, POSITION, ConfigError, StateSpec, sample_frame,
                     uniform_grid)
 from dynosc import cli
 from dynosc.cli import main
-from dynosc.config import (PRESET_NAMES, RunConfig, config_from_dict,
-                           load_config, preset_config)
+from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
+                           RunConfig, config_from_dict, load_config,
+                           preset_config)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -110,6 +111,9 @@ class TestConfig:
         ({"params": {"alpha_0": 0.5}}, "unknown keys in params"),
         ({"grid": {"point": 64}}, "unknown keys in grid"),
         ({"time": {"frame": 3}}, "unknown keys in time"),
+        ({"grid": {"points": 8193}}, "points must be in"),
+        ({"grid": {"points": 100_000}}, "points must be in"),
+        ({"time": {"frames": 100_001}}, "frames must be in"),
     ])
     def test_validation_errors(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path, **overrides)
@@ -121,6 +125,16 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="parse"):
             load_config(path)
+
+    def test_size_caps_admit_presets_and_largest_battery_grid(self):
+        for name in PRESET_NAMES:
+            cfg = preset_config(name)
+            assert config_from_dict(cfg.to_dict()) == cfg
+        raw = valid_config()
+        raw["grid"]["points"] = MAX_GRID_POINTS
+        raw["time"]["frames"] = MAX_FRAMES
+        cfg = config_from_dict(raw)
+        assert (cfg.grid.points, cfg.time.frames) == (8192, 100_000)
 
     def test_config_from_dict_requires_object(self):
         with pytest.raises(ConfigError):
@@ -407,6 +421,17 @@ class TestVerifyCommand:
         path = write_config(tmp_path, params={"beta0": 0.0})
         assert main(["verify", "--config", str(path)]) == 2
         assert "beta0 must be nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("verify", {"grid": {"points": 100_000}}),
+        ("moments", {"time": {"frames": 100_001}}),
+    ], ids=["points", "frames"])
+    def test_size_cap_exit_code(self, tmp_path, capsys, command, overrides):
+        # Cheap without the cap too: verify --config samples its own grids,
+        # and a moments table without --check is one closed-form row a frame.
+        path = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(path)]) == 2
+        assert "must be in" in capsys.readouterr().err
 
     def test_vanishing_state_exit_code(self, tmp_path, capsys):
         # Every sample underflows, so the residual reference norm is zero.

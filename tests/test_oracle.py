@@ -230,6 +230,42 @@ class TestSplitStep:
         with pytest.raises(DomainError):
             split_step_propagate(frame, -1.0, 4096)
 
+    def test_batch_equals_single_frame_calls(self, presets):
+        x = uniform_grid(-12.0, 12.0, 1024)
+        starts = [sample_frame(StateSpec(cfg.params, cfg.n), POSITION, x,
+                               0.1 * i)
+                  for i, cfg in enumerate(presets.values())]
+        batch = split_step_propagate(starts, 1.0, 512)
+        single = [split_step_propagate(start, 1.0, 512) for start in starts]
+        assert isinstance(single[0], WaveFrame)
+        assert len(batch) == len(starts)
+        for got, want in zip(batch, single):
+            assert got.t == want.t
+            assert np.all(got.amplitudes == want.amplitudes)
+
+    def test_batch_rejects_bad_input(self):
+        x = uniform_grid(-12.0, 12.0, 256)
+        spec = StateSpec(EXAMPLE1, 0)
+        pos = sample_frame(spec, POSITION, x, 0.0)
+        other = sample_frame(spec, POSITION, uniform_grid(-10.0, 10.0, 256), 0.0)
+        mom = sample_frame(spec, MOMENTUM, x, 0.0)
+        for frames in ([], [pos, other], [pos, mom], mom):
+            with pytest.raises(DomainError):
+                split_step_propagate(frames, 1.0, 128)
+
+    def test_criterion_makes_one_batched_call(self, monkeypatch):
+        from dynosc import verification
+        calls = []
+
+        def counting(initial, t_final, steps):
+            calls.append(len(initial))
+            return split_step_propagate(initial, t_final, steps)
+
+        monkeypatch.setattr(verification, "split_step_propagate", counting)
+        rows = verification.independent_propagation()
+        assert calls == [5]
+        assert len(rows) == 5 and all(row.passed for row in rows)
+
 
 class TestComoving:
     def test_textbook_case_two_gamma_clock(self):

@@ -250,11 +250,45 @@ class TestWaveFrame:
         with pytest.raises(DomainError):
             WaveFrame(POSITION, 0.0, X, np.zeros(10, dtype=complex))
 
-    def test_rejects_nonfinite_amplitudes(self):
+    @pytest.mark.parametrize("value", [
+        np.nan, complex(np.inf, 0.0), complex(0.0, np.nan)],
+        ids=["nan", "inf_real", "nan_imag"])
+    def test_rejects_nonfinite_amplitudes(self, value):
         amps = np.zeros_like(X, dtype=complex)
-        amps[3] = np.nan
+        amps[3] = value
         with pytest.raises(DomainError):
             WaveFrame(POSITION, 0.0, X, amps)
+
+    @pytest.mark.parametrize("index,value", [
+        (0, -np.inf), (-1, np.inf), (5, np.nan)],
+        ids=["minus_inf_first", "inf_last", "nan"])
+    def test_rejects_nonfinite_grids(self, index, value):
+        grid = X.copy()
+        grid[index] = value
+        with pytest.raises(DomainError, match="grid"):
+            WaveFrame(POSITION, 0.0, grid, np.zeros_like(X, dtype=complex))
+
+    @pytest.mark.parametrize("bound", ["upper", "lower"])
+    def test_uniformity_verdict_matches_allclose(self, bound):
+        # Move the last grid point ulp by ulp across the tolerance of
+        # np.allclose(steps, h, rtol=1e-9, atol=1e-12 |h|).
+        grid = uniform_grid(-12.0, 12.0, 64)
+        h = grid[1] - grid[0]
+        tol = 1e-12 * abs(h) + 1e-9 * abs(h)
+        edge = grid[-2] + (h + tol if bound == "upper" else h - tol)
+        verdicts = set()
+        for offset in range(-8, 9):
+            grid[-1] = edge + offset * np.spacing(edge)
+            expected = np.allclose(np.diff(grid), h, rtol=1e-9,
+                                   atol=1e-12 * abs(h))
+            try:
+                WaveFrame(POSITION, 0.0, grid, np.zeros(64, dtype=complex))
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == expected
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
     def test_dx_and_density(self):
         frame = sample_frame(StateSpec(SCHRODINGER, 0), POSITION, X, 0.0)
