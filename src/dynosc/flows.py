@@ -98,27 +98,40 @@ class MomentSet:
     n: int
 
     def __post_init__(self):
-        values = np.array((self.mean_x, self.mean_p, self.var_x, self.var_p,
-                           self.product, self.energy))
-        if not np.isfinite(values).all():
+        values = (self.mean_x, self.mean_p, self.var_x, self.var_p,
+                  self.product, self.energy)
+        if set(map(type, values)) == {float}:  # scalar t: no arrays
+            finite = all(map(math.isfinite, values))
+            positive = min(self.var_x, self.var_p) > 0
+            product = self.product
+        else:
+            values = np.array(values)
+            finite = np.isfinite(values).all()
+            positive = (values[2:4] > 0).all()
+            product = values[4].min()
+        if not finite:
             raise DomainError("moments must be finite")
-        if (values[2:4] <= 0).any():
+        if not positive:
             raise DomainError("variances must be positive")
         floor = (self.n + 0.5) ** 2 - 1e-9
-        if (values[4] < floor).any():
-            raise DomainError(f"uncertainty product {values[4].min()} "
+        if product < floor:
+            raise DomainError(f"uncertainty product {product} "
                               f"below floor {floor}")
 
 
-def _scalar_or_array(value, t):
-    return float(value) if np.ndim(t) == 0 else value
+def _times(t):
+    """t as a float64 array, or as a NumPy scalar when t is a scalar: the
+    same ufunc loops, without the cost of 0-d array arithmetic."""
+    return np.asarray(t, dtype=float)[()]
 
 
 def discriminant(params, t):
     """D(t) = beta0^4 sin^2 t + (2 alpha0 sin t + cos t)^2 at a scalar or array t."""
+    t = _times(t)
     s, c = np.sin(t), np.cos(t)
     base = 2.0 * params.alpha0 * s + c
-    return _scalar_or_array(params.beta0 ** 4 * s * s + base * base, t)
+    d = params.beta0 ** 4 * s * s + base * base
+    return float(d) if t.ndim == 0 else d
 
 
 def _continuous_angle(params, t):
@@ -206,7 +219,7 @@ def classical_moments(params, n, t):
     """
     n = check_order(n)
     a0, b0, d0, e0 = params.alpha0, params.beta0, params.delta0, params.eps0
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     s, c = np.sin(t), np.cos(t)
     drift = 2.0 * a0 * e0 - b0 * d0
     mean_x = -(drift * s + e0 * c) / b0
@@ -217,11 +230,9 @@ def classical_moments(params, n, t):
     var_p = scale * (1.0 + qsum + osc)
     var_x = scale * (1.0 + qsum - osc)
     # float_power calls libm pow like the scalar `**`; x * x can differ by 1 ulp.
-    energy = 0.5 * (np.float_power(mean_x, 2) + np.float_power(mean_p, 2))
-    fields = dict(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p,
-                  product=var_x * var_p, energy=energy)
-    return MomentSet(**{k: _scalar_or_array(v, t) for k, v in fields.items()},
-                     n=n)
+    energy = 0.5 * (np.float_power(mean_x, 2.0) + np.float_power(mean_p, 2.0))
+    fields = (mean_x, mean_p, var_x, var_p, var_x * var_p, energy)
+    return MomentSet(*(map(float, fields) if t.ndim == 0 else fields), n=n)
 
 
 def is_minimum_uncertainty_family(params, tol):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dynosc import (MOMENTUM, POSITION, ConfigError, StateSpec, sample_frame,
-                    uniform_grid)
+from dynosc import (MOMENTUM, POSITION, ConfigError, DomainError, StateSpec,
+                    sample_frame, uniform_grid)
 from dynosc import cli
 from dynosc.cli import main
 from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
@@ -303,6 +305,85 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
         assert "write failed" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["position_0002.csv"]
+
+    def test_failed_replace_leaves_no_files(self, tmp_path, capsys,
+                                            monkeypatch):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        replace, calls = os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert "write failed" in capsys.readouterr().err
+        assert Path(calls[1]).name == "position_0002.csv"
+        assert list(out.iterdir()) == []
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the evolve worker pool needs the fork start method")
+
+
+@needs_fork
+class TestEvolvePool:
+    """evolve on forked workers writes what the serial loop writes."""
+
+    def pool_config(self, tmp_path):
+        # 20 frames x 2 representations: enough files to start the pool.
+        return write_config(
+            tmp_path, params={"mu0": 1.5, "beta0": 2.0 / 3.0, "delta0": 1.5},
+            time={"t_start": 0.0, "t_end": 2.0 * math.pi, "frames": 20},
+            outputs=["position_density", "momentum_density", "moments"])
+
+    def test_pool_and_serial_bytes_equal(self, tmp_path, monkeypatch):
+        path = self.pool_config(tmp_path)
+        assert 2 * 20 >= cli.POOL_MIN_FILES
+        parent, build_packet = os.getpid(), cli.build_packet
+
+        def in_worker(*args):
+            assert os.getpid() != parent, "frame built in the parent"
+            return build_packet(*args)
+
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "build_packet", in_worker)
+        pool = tmp_path / "pool"
+        assert main(["evolve", "--config", str(path), "--out", str(pool)]) == 0
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(cli, "build_packet", build_packet)
+        serial = tmp_path / "serial"
+        assert main(["evolve", "--config", str(path), "--out", str(serial)]) == 0
+        names = sorted(p.name for p in serial.iterdir())
+        assert len(names) == 2 * 20 + 2
+        assert names == sorted(p.name for p in pool.iterdir())
+        for name in names:
+            assert (pool / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_worker_error_exits_2_and_leaves_nothing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        path = self.pool_config(tmp_path)
+        build_packet = cli.build_packet
+
+        def fails_late(spec, grid, t, representation):
+            if t > 3.0:
+                raise DomainError(f"t > 3 in process {os.getpid()}")
+            return build_packet(spec, grid, t, representation)
+
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "build_packet", fails_late)  # fork carries it
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        raised_in = re.search(r"config error: t > 3 in process (\d+)", err)
+        assert int(raised_in.group(1)) != os.getpid()  # raised in a worker
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 def reference_csv(header, columns):
