@@ -10,15 +10,20 @@ error, 3 I/O error.  Frame CSVs carry the header x,density,re_psi,im_psi
 (p,density,re_a,im_a for momentum frames), LF line endings, and floats as
 shortest round-trip decimals, so identical configs produce byte-identical
 output.  Each evolve run writes a manifest.json listing every written file
-with its sha256.  evolve evaluates and formats frames on every usable core
-(forked workers); the bytes do not depend on the number of cores.
+with its sha256.
+
+verify and evolve run on every usable core (`pool.ordered_map`); the parent
+alone prints, hashes and writes, so the bytes do not depend on the number of
+workers, and a serial run is `taskset -c 0`.  verify sends its criteria in a
+measured order (`verification.JOB_ORDER`): OpenBLAS's helper threads spin
+after each DFT call and take the other worker's core, so the criterion with
+the most DFT calls goes last.
 """
 
 import argparse
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -30,6 +35,7 @@ from .config import PRESET_NAMES, load_config, preset_config
 from .errors import ConfigError, DomainError
 from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
 from .oracle import MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum, quadrature_moment
+from .pool import ordered_map
 from .states import MOMENTUM, POSITION, StateSpec, sample_frame, uniform_grid
 from .verification import run_acceptance, scoped_checks
 
@@ -38,13 +44,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# Fewest frame files for which evolve starts a worker pool.  Starting and
-# stopping the pool costs ~20 ms on 2 cores; on a 1,024-point grid it pays
-# from ~12 files, and on small grids it loses at most that much.
-POOL_MIN_FILES = 16
-# Frames handed to the pool at a time, so that buffered results stay bounded
-# for any number of frames, and frames per task sent to a worker.
-POOL_WINDOW = 256
+# Least work, frame files x grid points, for which evolve starts a worker
+# pool.  Starting and stopping the pool costs ~15-20 ms on 2 cores.  Measured
+# in-process on 64-1,024-point grids, the pool loses ~15-20 ms at 4,096,
+# ties at 8,192 and wins from 12,288-16,384 (64 points x 192 files
+# 164 -> 133 ms, 128 x 128 174 -> 139 ms).
+POOL_MIN_WORK = 12288
+# Frame files per task sent to a worker.
 POOL_CHUNK = 4
 
 
@@ -153,58 +159,11 @@ def _write(path, text):
     return hashlib.sha256(data).hexdigest()
 
 
-def _frame_text(frame, job):
-    """CSV text of job (index, t, representation) of one run's frame."""
-    spec, grid, grid_text = frame
+def _frame_text(spec, grid, grid_text, job):
+    """CSV text of job (index, t, representation); grid_text is the grid column."""
     _, t, representation = job
     header, columns = build_packet(spec, grid, t, representation)
     return _frame_rows(header, grid_text, columns)
-
-
-_worker_frame = None  # (spec, grid, grid_text) of the run, in a pool worker
-
-
-def _init_worker(frame):
-    global _worker_frame
-    _worker_frame = frame
-
-
-def _worker_text(job):
-    return _frame_text(_worker_frame, job)
-
-
-def _usable_cores():
-    """Cores this process may run on: evolve starts one worker per core."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-@contextlib.contextmanager
-def _frame_texts(frame, jobs):
-    """Iterator over the CSV text of each job, in job order.
-
-    With more than one usable core, the fork start method and at least
-    POOL_MIN_FILES jobs, forked workers evaluate and format the frames; an
-    error in a worker is raised here, at its job's place.  The pool is
-    terminated on exit, also when the caller fails."""
-    import multiprocessing
-    cores = _usable_cores()
-    if (cores < 2 or len(jobs) < POOL_MIN_FILES
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        yield map(functools.partial(_frame_text, frame), jobs)
-        return
-    # fork, not spawn or forkserver: a spawned worker pays the package import
-    # again, and forkserver re-imports __main__, which fails for `python -`.
-    pool = multiprocessing.get_context("fork").Pool(
-        min(cores, len(jobs)), _init_worker, (frame,))
-    try:
-        yield itertools.chain.from_iterable(
-            pool.imap(_worker_text, jobs[start:start + POOL_WINDOW], POOL_CHUNK)
-            for start in range(0, len(jobs), POOL_WINDOW))
-    finally:
-        pool.terminate()
-        pool.join()
 
 
 def cmd_evolve(args, config):
@@ -224,7 +183,7 @@ def cmd_evolve(args, config):
     spec = StateSpec(config.params, config.n)
     grid = uniform_grid(config.grid.x_min, config.grid.x_max,
                         config.grid.points)
-    frame = (spec, grid, _column_text(grid))
+    texts = functools.partial(_frame_text, spec, grid, _column_text(grid))
     jobs = [(index, t, representation)
             for index, t in enumerate(config.time.times(), start=1)
             for representation in representations]
@@ -234,8 +193,10 @@ def cmd_evolve(args, config):
     written = []
     complete = False
     try:
-        with _frame_texts(frame, jobs) as texts:
-            for (index, t, representation), text in zip(jobs, texts):
+        with ordered_map(texts, jobs,
+                         parallel=len(jobs) * grid.size >= POOL_MIN_WORK,
+                         chunk=POOL_CHUNK) as results:
+            for (index, t, representation), text in zip(jobs, results):
                 name = f"{representation}_{index:04d}.csv"
                 written.append(out_dir / name)
                 digest = _write(written[-1], text)

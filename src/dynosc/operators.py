@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flows import flow
-from .states import POSITION
+from .states import POSITION, handed_over
 from .stencils import INTERIOR_MARGIN, diff1, diff2, interior, l2_norm
 
 ANNIHILATION = "annihilation"
@@ -79,7 +79,7 @@ def apply_hamiltonian(frame):
     _require_position(frame)
     x, psi = frame.grid, frame.amplitudes
     out = 0.5 * (-diff2(psi, frame.dx) + x * x * psi)
-    return frame.with_amplitudes(out)
+    return frame.with_amplitudes(handed_over(out))
 
 
 def apply_ladder(op, frame):
@@ -93,7 +93,7 @@ def apply_ladder(op, frame):
         out = ((op.beta * x + op.eps) * psi + 1j * shifted / op.beta) / math.sqrt(2.0)
     else:
         out = ((op.beta * x + op.eps) * psi - 1j * shifted / op.beta) / math.sqrt(2.0)
-    return frame.with_amplitudes(out)
+    return frame.with_amplitudes(handed_over(out))
 
 
 def apply_invariant(spec, frame, t):
@@ -104,7 +104,7 @@ def apply_invariant(spec, frame, t):
     twice = apply_ladder(mom, apply_ladder(mom, frame)).amplitudes
     x = frame.grid
     out = 0.5 * (twice / st.beta ** 2 + (st.beta * x + st.eps) ** 2 * frame.amplitudes)
-    return frame.with_amplitudes(out)
+    return frame.with_amplitudes(handed_over(out))
 
 
 def rayleigh_quotient(frame, transformed, margin=INTERIOR_MARGIN):
@@ -134,7 +134,7 @@ def commutator_check(t, params, test_frames):
     for frame in test_frames:
         lowered = apply_ladder(a, apply_ladder(adag, frame)).amplitudes
         raised = apply_ladder(adag, apply_ladder(a, frame)).amplitudes
-        commuted = frame.with_amplitudes(lowered - raised)
+        commuted = frame.with_amplitudes(handed_over(lowered - raised))
         resid = interior(commuted.amplitudes - frame.amplitudes)
         rel = l2_norm(resid, frame.dx) / l2_norm(interior(frame.amplitudes), frame.dx)
         if rel >= worst:

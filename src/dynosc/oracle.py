@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flows import flow
-from .states import MOMENTUM, POSITION, WaveFrame, eval_psi
+from .states import MOMENTUM, POSITION, WaveFrame, eval_psi, handed_over
 from .stencils import INTERIOR_MARGIN, diff2, interior, l2_norm
 
 MINUS_GAMMA = "minus_gamma"
@@ -134,7 +134,7 @@ def _quadrature_transform(frame, grid, phase, representation):
     weights[0] = weights[-1] = 0.5 * frame.dx
     kernel = _kernel(phase, grid.tobytes(), frame.grid.tobytes())
     amps = kernel @ (weights * frame.amplitudes) / math.sqrt(2.0 * math.pi)
-    return WaveFrame(representation, frame.t, grid, amps)
+    return WaveFrame(representation, frame.t, grid, handed_over(amps))
 
 
 def dft_momentum(frame, p_grid=None):

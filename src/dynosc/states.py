@@ -58,6 +58,16 @@ def _frozen(values, dtype):
     return out
 
 
+def handed_over(values):
+    """A fresh array frozen, so that a WaveFrame keeps it without a copy.
+
+    Only for an array that the caller built and keeps no reference to.
+    """
+    out = np.asarray(values)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WaveFrame:
     """Complex amplitude samples on a uniform grid at one time."""
@@ -153,7 +163,4 @@ def sample_frame(spec, representation, grid, t):
     else:
         raise DomainError(
             f"representation must be {POSITION!r} or {MOMENTUM!r}")
-    # Fresh samples: frozen here, the frame keeps them without a copy.
-    amps = np.asarray(amps)
-    amps.setflags(write=False)
-    return WaveFrame(representation, float(t), grid, amps)
+    return WaveFrame(representation, float(t), grid, handed_over(amps))

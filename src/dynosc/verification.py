@@ -14,6 +14,7 @@ sits well below the tolerances):
   * Propagation: 1024 points on [-12, 12], 4096 steps to t = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .operators import (ANNIHILATION, CREATION, FirstOrderOperator,
                         apply_ladder, commutator_check, invariant_report)
 from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, comoving_residual,
                      dft_momentum, schrodinger_residual, split_step_propagate)
+from .pool import ordered_map
 from .states import (POSITION, StateSpec, WaveFrame,
                      eval_psi_invariant_frame, sample_frame, uniform_grid)
 from .stencils import interior, l2_norm
@@ -449,17 +451,80 @@ CRITERIA = (
 )
 
 
+# The order in which the criteria go to the workers, measured on 2 cores.
+# Wall times run alone: 9 0.57-0.72 s, 2 0.48-0.60 s, 6 0.27-0.32 s,
+# 3 0.25-0.31 s, 5 0.12-0.14 s, every other one under 0.09 s.  Longest
+# first, so that no long one starts late, except for the two criteria that
+# call the BLAS-backed DFT (`kernel @ v`): after each call OpenBLAS's helper
+# threads spin for a while and take the other worker's core.  4 makes its
+# few DFT calls early; 6 makes about 200 and goes last, while the other worker
+# runs out of small jobs.  A pooled `verify` took 1.0-1.4 s in this order,
+# 1.2-1.6 s with 6 and 4 last and 1.5-1.7 s longest first (fresh processes,
+# interleaved).
+JOB_ORDER = (textbook_limit, independent_propagation, invariant_spectrum,
+             ladder_algebra, uncertainty_structure, family_exactness,
+             family_exactness_refined, comoving_adjudication,
+             animation_reproduction, classical_layer, convergence_orders,
+             momentum_representation)
+
+
+def _run_jobs(jobs, order):
+    """[job() for job in jobs], run on the worker pool in `order`, a
+    permutation of the job indices.  Only the indices are pickled: the jobs
+    reach the workers by fork."""
+    with ordered_map(lambda k: jobs[k](), order) as results:
+        done = dict(zip(order, results))
+    return [done[k] for k in range(len(jobs))]
+
+
 def run_acceptance(denominator=BETA0_QUARTIC, tau_convention=None):
-    """Evaluate the full battery; returns {criterion: [CheckResult, ...]}."""
-    out = {}
-    for label, fn in CRITERIA:
-        if fn is momentum_representation:
-            out[label] = fn(denominator)
-        elif fn is comoving_adjudication:
-            out[label] = fn(tau_convention)
-        else:
-            out[label] = fn()
-    return out
+    """Evaluate the full battery; returns {criterion: [CheckResult, ...]}.
+
+    The criteria are independent of each other and run on the worker pool in
+    JOB_ORDER; the result keeps the order of CRITERIA.
+    """
+    args = {momentum_representation: (denominator,),
+            comoving_adjudication: (tau_convention,)}
+    functions = [fn for _, fn in CRITERIA]
+    results = _run_jobs([functools.partial(fn, *args.get(fn, ()))
+                         for fn in functions],
+                        [functions.index(fn) for fn in JOB_ORDER])
+    return {label: rows for (label, _), rows in zip(CRITERIA, results)}
+
+
+def _scoped_measurements(config, denominator, tau_convention):
+    """The rows of scoped_checks before and after its split-step row."""
+    params, n = config.params, config.n
+    spec = StateSpec(params, n)
+    grid = uniform_grid(*RESIDUAL_GRID)
+    before = [_below(f"pde_residual[n={nn}]",
+                     _worst_residual(StateSpec(params, nn), grid), 1e-6)
+              for nn in sorted({0, 1, 2, 5, n})]
+    half = EIGHT_TIMES[::2]
+    before += [
+        _below("invariant_eigenvalue[n<=6]", _eigenvalue_gap(params, half), 1e-7),
+        _below("ladder_commutator", _commutator_residual(params, (0.0, 1.0)),
+               1e-7),
+        _below("momentum_map[n<=4]",
+               _worst_momentum_gap(params, half, denominator), 1e-8),
+        _below("energy_constant", _classical_drift(params)[0], 1e-12),
+    ]
+    times = (0.8, 2.0)
+    if tau_convention:
+        after = [_below(f"comoving_residual[{tau_convention}]",
+                        _worst_comoving(spec, tau_convention, times), 1e-6)]
+    else:
+        worst = {c: _worst_comoving(spec, c, times)
+                 for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
+        after = [_below(f"comoving_residual[{MINUS_TWO_GAMMA}]",
+                        worst[MINUS_TWO_GAMMA], 1e-6),
+                 _one_convention(worst)[1]]
+    op_grid = uniform_grid(*OPERATOR_GRID)
+    norm_sq = sample_frame(spec, POSITION, op_grid, 1.1).norm() ** 2
+    expected = 1.0 / (params.mu0 * abs(params.beta0))
+    after.append(_below("normalization[1/(mu0 |beta0|)]",
+                        abs(norm_sq - expected), 1e-10))
+    return before, after
 
 
 def scoped_checks(config, denominator=BETA0_QUARTIC, tau_convention=None):
@@ -469,38 +534,12 @@ def scoped_checks(config, denominator=BETA0_QUARTIC, tau_convention=None):
     n in {0, 1, 2, 5, config.n} for the PDE residual, every second of the
     eight sample times for the invariant and momentum-map checks, and the
     first two times of the commutator and comoving checks; a normalization
-    row is added.
+    row is added.  The split-step oracle, about 70% of the work, is one job
+    on the worker pool and every other measurement the other.
     """
-    params, n = config.params, config.n
-    spec = StateSpec(params, n)
-    grid = uniform_grid(*RESIDUAL_GRID)
-    results = [_below(f"pde_residual[n={nn}]",
-                      _worst_residual(StateSpec(params, nn), grid), 1e-6)
-               for nn in sorted({0, 1, 2, 5, n})]
-    half = EIGHT_TIMES[::2]
-    results += [
-        _below("invariant_eigenvalue[n<=6]", _eigenvalue_gap(params, half), 1e-7),
-        _below("ladder_commutator", _commutator_residual(params, (0.0, 1.0)),
-               1e-7),
-        _below("momentum_map[n<=4]",
-               _worst_momentum_gap(params, half, denominator), 1e-8),
-        _below("energy_constant", _classical_drift(params)[0], 1e-12),
-        _below("split_step_vs_closed_form", _split_step_gaps([spec])[0],
-               1e-5),
-    ]
-    times = (0.8, 2.0)
-    if tau_convention:
-        results.append(_below(f"comoving_residual[{tau_convention}]",
-                              _worst_comoving(spec, tau_convention, times), 1e-6))
-    else:
-        worst = {c: _worst_comoving(spec, c, times)
-                 for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
-        results.append(_below(f"comoving_residual[{MINUS_TWO_GAMMA}]",
-                              worst[MINUS_TWO_GAMMA], 1e-6))
-        results.append(_one_convention(worst)[1])
-    op_grid = uniform_grid(*OPERATOR_GRID)
-    norm_sq = sample_frame(spec, POSITION, op_grid, 1.1).norm() ** 2
-    expected = 1.0 / (params.mu0 * abs(params.beta0))
-    results.append(_below("normalization[1/(mu0 |beta0|)]",
-                          abs(norm_sq - expected), 1e-10))
-    return results
+    spec = StateSpec(config.params, config.n)
+    (gap,), (before, after) = _run_jobs(
+        (functools.partial(_split_step_gaps, [spec]),
+         functools.partial(_scoped_measurements, config, denominator,
+                           tau_convention)), (0, 1))
+    return [*before, _below("split_step_vs_closed_form", gap, 1e-5), *after]

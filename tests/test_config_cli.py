@@ -5,7 +5,7 @@ import multiprocessing
 import os
 import re
 from pathlib import Path
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ from hypothesis import given, strategies as st
 
 from dynosc import (MOMENTUM, POSITION, ConfigError, DomainError, StateSpec,
                     sample_frame, uniform_grid)
-from dynosc import cli
+from dynosc import cli, pool
+from dynosc import verification as ver
 from dynosc.cli import main
 from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
                            RunConfig, config_from_dict, load_config,
@@ -327,7 +328,7 @@ class TestEvolveCommand:
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the evolve worker pool needs the fork start method")
+    reason="the worker pool needs the fork start method")
 
 
 @needs_fork
@@ -335,35 +336,59 @@ class TestEvolvePool:
     """evolve on forked workers writes what the serial loop writes."""
 
     def pool_config(self, tmp_path):
-        # 20 frames x 2 representations: enough files to start the pool.
+        # 20 frames x 2 representations x 1,024 points: enough work to start
+        # the pool.
         return write_config(
             tmp_path, params={"mu0": 1.5, "beta0": 2.0 / 3.0, "delta0": 1.5},
+            grid={"points": 1024},
             time={"t_start": 0.0, "t_end": 2.0 * math.pi, "frames": 20},
             outputs=["position_density", "momentum_density", "moments"])
 
     def test_pool_and_serial_bytes_equal(self, tmp_path, monkeypatch):
         path = self.pool_config(tmp_path)
-        assert 2 * 20 >= cli.POOL_MIN_FILES
+        assert 2 * 20 * 1024 >= cli.POOL_MIN_WORK
         parent, build_packet = os.getpid(), cli.build_packet
 
         def in_worker(*args):
             assert os.getpid() != parent, "frame built in the parent"
             return build_packet(*args)
 
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "build_packet", in_worker)
-        pool = tmp_path / "pool"
-        assert main(["evolve", "--config", str(path), "--out", str(pool)]) == 0
+        pooled = tmp_path / "pool"
+        assert main(["evolve", "--config", str(path), "--out", str(pooled)]) == 0
         assert multiprocessing.active_children() == []
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
         monkeypatch.setattr(cli, "build_packet", build_packet)
         serial = tmp_path / "serial"
         assert main(["evolve", "--config", str(path), "--out", str(serial)]) == 0
         names = sorted(p.name for p in serial.iterdir())
         assert len(names) == 2 * 20 + 2
-        assert names == sorted(p.name for p in pool.iterdir())
+        assert names == sorted(p.name for p in pooled.iterdir())
         for name in names:
-            assert (pool / name).read_bytes() == (serial / name).read_bytes()
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+
+    @pytest.mark.parametrize("points,files,pooled", [
+        (64, 128, False), (1024, 16, True)])
+    def test_pool_starts_by_work(self, tmp_path, monkeypatch, points, files,
+                                 pooled):
+        # Files x points decides: many small frames stay in the parent.
+        path = write_config(tmp_path, grid={"points": points},
+                            time={"t_start": 0.0, "t_end": 1.0,
+                                  "frames": files // 2},
+                            outputs=["position_density", "momentum_density"])
+        parent, build_packet = os.getpid(), cli.build_packet
+
+        def where(*args):
+            assert (os.getpid() != parent) == pooled, "frame built elsewhere"
+            return build_packet(*args)
+
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "build_packet", where)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == files + 1
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_exits_2_and_leaves_nothing(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -375,7 +400,7 @@ class TestEvolvePool:
                 raise DomainError(f"t > 3 in process {os.getpid()}")
             return build_packet(spec, grid, t, representation)
 
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "build_packet", fails_late)  # fork carries it
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
@@ -383,6 +408,87 @@ class TestEvolvePool:
         raised_in = re.search(r"config error: t > 3 in process (\d+)", err)
         assert int(raised_in.group(1)) != os.getpid()  # raised in a worker
         assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+def swap_functions(monkeypatch, module, replace):
+    """Put replace[fn] in place of fn at every module attribute, and in every
+    (label, fn) pair of CRITERIA and in JOB_ORDER, as a fork carries them."""
+    for name, value in list(vars(module).items()):
+        if isinstance(value, FunctionType) and value in replace:
+            monkeypatch.setattr(module, name, replace[value])
+    monkeypatch.setattr(module, "CRITERIA", tuple(
+        (label, replace.get(fn, fn)) for label, fn in module.CRITERIA))
+    monkeypatch.setattr(module, "JOB_ORDER", tuple(
+        replace.get(fn, fn) for fn in module.JOB_ORDER))
+
+
+def measured_in_workers(monkeypatch):
+    """Make every verify job fail when it runs in this process."""
+    parent = os.getpid()
+
+    def in_worker(fn):
+        def run(*args):
+            assert os.getpid() != parent, f"{fn.__name__} ran in the parent"
+            return fn(*args)
+        return run
+
+    jobs = [fn for _, fn in ver.CRITERIA]
+    jobs += [ver._split_step_gaps, ver._scoped_measurements]
+    swap_functions(monkeypatch, ver, {fn: in_worker(fn) for fn in jobs})
+
+
+@needs_fork
+class TestVerifyPool:
+    """verify on forked workers prints what the serial run prints."""
+
+    # Each full battery takes seconds, so one run pairs the negative
+    # controls: beta0sq and the half-speed clock.
+    @pytest.mark.parametrize("argv", [
+        [], ["--tau-convention", "minus_two_gamma"],
+        ["--tau-convention", "minus_gamma",
+         "--appendix-b-denominator", "beta0sq"],
+        ["--preset", "example3"], ["--config", "n=3"]],
+        ids=["bare", "minus_two_gamma", "minus_gamma_beta0sq", "example3",
+             "config_n3"])
+    def test_pool_and_serial_output_equal(self, tmp_path, capsys, monkeypatch,
+                                          argv):
+        if argv[:1] == ["--config"]:
+            argv = ["--config", str(write_config(tmp_path, n=3))]
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+        serial = main(["verify", *argv]), capsys.readouterr()
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        measured_in_workers(monkeypatch)
+        pooled = main(["verify", *argv]), capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        assert pooled[0] == serial[0]
+        assert pooled[1].out == serial[1].out
+        assert pooled[1].err == serial[1].err == ""
+
+    def test_worker_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The vanishing state raises DomainError in a scoped job.
+        path = write_config(tmp_path, params={"beta0": 1e70},
+                            grid={"points": 1024})
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        measured_in_workers(monkeypatch)
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: the state vanishes" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_battery_worker_error_exits_2(self, capsys, monkeypatch):
+        def fails(*args):
+            raise DomainError(f"raised in process {os.getpid()}")
+
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        swap_functions(monkeypatch, ver, {ver.JOB_ORDER[0]: fails})
+        assert main(["verify"]) == 2
+        captured = capsys.readouterr()
+        raised_in = re.search(r"config error: raised in process (\d+)",
+                              captured.err)
+        assert int(raised_in.group(1)) != os.getpid()
+        assert captured.out == ""
         assert multiprocessing.active_children() == []
 
 

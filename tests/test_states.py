@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dynosc import (DomainError, MOMENTUM, OscillatorParams, POSITION,
-                    StateSpec, WaveFrame, classical_moments, dft_momentum,
+from dynosc import (ANNIHILATION, DomainError, FirstOrderOperator, MOMENTUM,
+                    OscillatorParams, POSITION, StateSpec, WaveFrame,
+                    apply_hamiltonian, apply_invariant, apply_ladder,
+                    classical_moments, commutator_check, dft_momentum,
                     eval_momentum, eval_psi, eval_psi_invariant_frame, flow,
-                    hermite, hermite_function, quadrature_moment, sample_frame,
-                    uniform_grid)
+                    hermite, hermite_function, idft_position,
+                    quadrature_moment, sample_frame, uniform_grid)
+from dynosc import states
 
 SCHRODINGER = OscillatorParams(mu0=1.0, beta0=1.0)
 EXAMPLE1 = OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0)
@@ -245,6 +248,31 @@ class TestWaveFrame:
             assert np.all(held.grid == grid_before)
         assert np.all(frame.amplitudes == amps_before)
         assert np.all(derived.amplitudes == 2.0 * amps_before)
+
+    def test_fresh_outputs_are_kept_not_copied(self, monkeypatch):
+        # Operators and transforms hand their fresh amplitudes over frozen,
+        # so the frame keeps them; only caller arrays need a copy.
+        frame = sample_frame(StateSpec(MINUNCERT, 2), POSITION, X, 0.7)
+        copies = []
+        frozen = states._frozen
+
+        def counting(values, dtype):
+            out = frozen(values, dtype)
+            if out is not values:
+                copies.append(values)
+            return out
+
+        monkeypatch.setattr(states, "_frozen", counting)
+        lowered = apply_ladder(
+            FirstOrderOperator.at_time(ANNIHILATION, MINUNCERT, 0.7), frame)
+        outputs = [lowered, apply_hamiltonian(frame),
+                   apply_invariant(StateSpec(MINUNCERT, 2), frame, 0.7),
+                   dft_momentum(frame)]
+        outputs.append(idft_position(outputs[-1]))
+        commutator_check(0.7, MINUNCERT, [frame])
+        assert len(copies) == 0
+        assert all(out.amplitudes.flags.owndata for out in outputs)
+        assert not any(out.amplitudes.flags.writeable for out in outputs)
 
     def test_rejects_mismatched_amplitudes(self):
         with pytest.raises(DomainError):
