@@ -207,6 +207,8 @@ def load_config(path):
             raw = json.load(stream)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config does not parse as JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply to parse") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     return config_from_dict(raw)

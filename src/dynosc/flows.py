@@ -38,6 +38,9 @@ from .hermite import check_order
 BETA0_QUARTIC = "beta0quart"
 BETA0_SQUARED = "beta0sq"
 
+# One element at a time: np.arctan2 can be 1 ulp off math.atan2 and move every phase.
+_atan2 = np.vectorize(math.atan2, otypes=[float])
+
 
 @dataclass(frozen=True)
 class OscillatorParams:
@@ -69,7 +72,7 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class ParamState:
-    """Values of the seven parameters at one time."""
+    """The seven parameters at one time (floats) or at an array of times."""
 
     t: float
     mu: float
@@ -81,8 +84,8 @@ class ParamState:
     kappa: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise DomainError(f"mu must stay positive, got {self.mu}")
+        if not np.all(self.mu > 0):
+            raise DomainError(f"mu must stay positive, got {np.min(self.mu)}")
 
 
 @dataclass(frozen=True)
@@ -134,41 +137,35 @@ def discriminant(params, t):
     return float(d) if t.ndim == 0 else d
 
 
-def _continuous_angle(params, t):
-    """Continuous polar angle of z(t), zero at t = 0."""
-    s, c = math.sin(t), math.cos(t)
-    b2 = params.beta0 ** 2
-    re_w = c * c + b2 * s * s + params.alpha0 * math.sin(2.0 * t)
-    im_w = (b2 - 1.0) * s * c - 2.0 * params.alpha0 * s * s
-    return t + math.atan2(im_w, re_w)
-
-
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # checked downstream
 def flow(params, t):
-    """Evaluate all seven parameters at time t.
+    """All seven parameters at a scalar t (floats) or an array of times (arrays).
 
     At t = 0 this reproduces the initial data exactly; gamma uses the
     continuous branch described in the module docstring.
     """
-    # Scalar math: np.arctan2 can be 1 ulp off math.atan2 and move every phase.
     a0, b0 = params.alpha0, params.beta0
     d0, e0 = params.delta0, params.eps0
-    s, c = math.sin(t), math.cos(t)
-    s2, c2 = math.sin(2.0 * t), math.cos(2.0 * t)
+    t = _times(t)
+    s, c = np.sin(t), np.cos(t)
+    s2, c2 = np.sin(2.0 * t), np.cos(2.0 * t)
     base = 2.0 * a0 * s + c
-    den = b0 ** 4 * s * s + base * base
-    rden = math.sqrt(den)
-    return ParamState(
-        t=t,
-        mu=params.mu0 * rden,
-        alpha=(a0 * c2 + s2 * (b0 ** 4 + 4.0 * a0 ** 2 - 1.0) / 4.0) / den,
-        beta=b0 / rden,
-        gamma=params.gamma0 - 0.5 * _continuous_angle(params, t),
-        delta=(d0 * base + e0 * b0 ** 3 * s) / den,
-        eps=(e0 * base - b0 * d0 * s) / rden,
-        kappa=params.kappa0
+    den = discriminant(params, t)
+    rden = np.sqrt(den)
+    re_w = c * c + b0 ** 2 * s * s + a0 * s2
+    im_w = (b0 ** 2 - 1.0) * s * c - 2.0 * a0 * s * s
+    fields = (
+        t, params.mu0 * rden,
+        (a0 * c2 + s2 * (b0 ** 4 + 4.0 * a0 ** 2 - 1.0) / 4.0) / den,
+        b0 / rden,
+        params.gamma0 - 0.5 * (t + _atan2(im_w, re_w)),
+        (d0 * base + e0 * b0 ** 3 * s) / den,
+        (e0 * base - b0 * d0 * s) / rden,
+        params.kappa0
         + s * s * (e0 * b0 ** 2 * (a0 * e0 - b0 * d0) - a0 * d0 ** 2) / den
         + 0.25 * s2 * (e0 ** 2 * b0 ** 2 - d0 ** 2) / den,
     )
+    return ParamState(*(map(float, fields) if t.ndim == 0 else fields))
 
 
 def momentum_params(params, denominator=BETA0_QUARTIC):

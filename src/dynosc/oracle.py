@@ -103,8 +103,8 @@ def schrodinger_residual(spec, grid, t, dt=1e-4):
         raise DomainError("dt must be positive")
     x = np.asarray(grid, dtype=float)
     dx = float(x[1] - x[0])
-    psi = eval_psi(spec, x, t)
-    psi_t = (eval_psi(spec, x, t + dt) - eval_psi(spec, x, t - dt)) / (2.0 * dt)
+    psi, after, before = eval_psi(spec, x, (t, t + dt, t - dt))
+    psi_t = (after - before) / (2.0 * dt)
     residual = 2j * psi_t + diff2(psi, dx) - x * x * psi
     l2, linf, npts = _relative_norms(residual, psi, dx)
     return ResidualReport(l2, linf, npts, dt)

@@ -126,25 +126,30 @@ def uniform_grid(x_min, x_max, points):
     return np.linspace(float(x_min), float(x_max), int(points))
 
 
-def _assemble(spec, x, state, with_lewis_phase):
+def _assemble(spec, x, t, with_lewis_phase):
     x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    # An array t gets one trailing axis per axis of x: one row of x per time.
+    state = flow(spec.params, t.reshape(t.shape + (1,) * x.ndim) if t.ndim else t)
     xi = state.beta * x + state.eps
-    envelope = hermite_function(spec.n, xi) / math.sqrt(state.mu)
+    envelope = hermite_function(spec.n, xi) / np.sqrt(state.mu)
     phase = (state.alpha * x + state.delta) * x + state.kappa
     if with_lewis_phase:
         phase = phase + (2 * spec.n + 1) * state.gamma
     out = np.exp(1j * phase) * envelope
+    if not np.isfinite(out).all():
+        raise DomainError("amplitudes must be finite")
     return complex(out) if out.ndim == 0 else out
 
 
 def eval_psi(spec, x, t):
-    """psi_n(x, t).  Accepts scalar or array x."""
-    return _assemble(spec, x, flow(spec.params, t), with_lewis_phase=True)
+    """psi_n(x, t) for a scalar or array x and t, of shape t.shape + x.shape."""
+    return _assemble(spec, x, t, with_lewis_phase=True)
 
 
 def eval_psi_invariant_frame(spec, x, t):
     """Invariant-frame function: psi_n with the phase e^{i(2n+1) gamma} removed."""
-    return _assemble(spec, x, flow(spec.params, t), with_lewis_phase=False)
+    return _assemble(spec, x, t, with_lewis_phase=False)
 
 
 def eval_momentum(spec, p, t, denominator=BETA0_QUARTIC):

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
 import re
+import tempfile
 from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
@@ -46,6 +49,17 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6)
+
+
+def with_value(field, value):
+    """A valid config with the field at key path `field` set to value."""
+    raw = valid_config()
+    *parents, key = field
+    target = raw
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    return raw
 
 
 def write_config(tmp_path, **overrides):
@@ -146,16 +160,29 @@ class TestConfig:
     @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
     def test_any_value_in_any_field_is_config_or_config_error(self, field,
                                                                value):
-        raw = valid_config()
-        *parents, key = field
-        target = raw
-        for parent in parents:
-            target = target[parent]
-        target[key] = value
         try:
-            assert isinstance(config_from_dict(raw), RunConfig)
+            assert isinstance(config_from_dict(with_value(field, value)),
+                              RunConfig)
         except ConfigError:
             pass
+
+    @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+    def test_any_value_in_any_field_exits_0_or_2(self, field, value):
+        # Without --check a moments table stays cheap, even at MAX_FRAMES.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(with_value(field, value)))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["moments", "--config", str(path)])
+        assert code in (0, 2)
+        assert (code == 2) == err.getvalue().startswith("config error:")
+
+    def test_deeply_nested_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 200_000)
+        assert main(["moments", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestMomentsCommand:
@@ -680,14 +707,15 @@ class TestFullBattery:
 
 class TestUnrepresentableData:
     # Valid-looking data whose closed forms leave the float64 range: the
-    # variances cancel to zero, a square overflows, or the grid spacing
-    # cannot be uniform.
+    # variances cancel to zero, a square overflows, the grid spacing cannot
+    # be uniform, or the flow's 2 t overflows.
     @pytest.mark.parametrize("command,overrides", [
         *((cmd, {"params": p}) for cmd in ("moments", "evolve")
           for p in ({"alpha0": 1e9}, {"beta0": 1e70}, {"beta0": 1e-70})),
         *((cmd, {"params": p}) for cmd in ("moments", "evolve", "verify")
           for p in ({"delta0": 1e160}, {"delta0": 1e200}, {"eps0": 1e200})),
         ("evolve", {"grid": {"x_min": -12.0, "x_max": -11.999999999999}}),
+        ("evolve", {"time": {"t_start": 1e308, "t_end": 1e308, "frames": 1}}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(
         f"{k}={x}" for d in v.values() for k, x in d.items()))
     def test_config_error_exit_code(self, tmp_path, capsys, command,

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dynosc import (BETA0_SQUARED, DomainError, MomentSet, OscillatorParams,
-                    classical_moments, discriminant, flow,
-                    is_minimum_uncertainty_family, momentum_params)
+                    ParamState, StateSpec, classical_moments, discriminant,
+                    eval_psi, flow, is_minimum_uncertainty_family,
+                    momentum_params, uniform_grid)
 from dynosc import verification as ver
 
 finite_params = st.builds(
@@ -23,10 +24,42 @@ finite_params = st.builds(
 )
 times = st.floats(min_value=-20.0, max_value=20.0)
 
+STATE_FIELDS = ("t", "mu", "alpha", "beta", "gamma", "delta", "eps", "kappa")
+# The PDE-residual times: t and t +- dt for each of the eight sample times.
+RESIDUAL_TIMES = np.concatenate([np.array(ver.EIGHT_TIMES) + d
+                                 for d in (0.0, -ver.RESIDUAL_DT, ver.RESIDUAL_DT)])
+
 SCHRODINGER = OscillatorParams(mu0=1.0, beta0=1.0)
 EXAMPLE1 = OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0)
 EXAMPLE3 = OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.5)
 MINUNCERT = OscillatorParams(mu0=0.64 ** -0.25, alpha0=0.3, beta0=0.64 ** 0.25)
+
+
+def scalar_flow(params, t):
+    """Reference for flow: the same closed form in scalar `math` code, one
+    time per call.  Returns the ParamState fields in order."""
+    a0, b0 = params.alpha0, params.beta0
+    d0, e0 = params.delta0, params.eps0
+    s, c = math.sin(t), math.cos(t)
+    s2, c2 = math.sin(2.0 * t), math.cos(2.0 * t)
+    base = 2.0 * a0 * s + c
+    den = b0 ** 4 * s * s + base * base
+    rden = math.sqrt(den)
+    b2 = b0 ** 2
+    re_w = c * c + b2 * s * s + a0 * math.sin(2.0 * t)
+    im_w = (b2 - 1.0) * s * c - 2.0 * a0 * s * s
+    return (
+        t,
+        params.mu0 * rden,
+        (a0 * c2 + s2 * (b0 ** 4 + 4.0 * a0 ** 2 - 1.0) / 4.0) / den,
+        b0 / rden,
+        params.gamma0 - 0.5 * (t + math.atan2(im_w, re_w)),
+        (d0 * base + e0 * b0 ** 3 * s) / den,
+        (e0 * base - b0 * d0 * s) / rden,
+        params.kappa0
+        + s * s * (e0 * b0 ** 2 * (a0 * e0 - b0 * d0) - a0 * d0 ** 2) / den
+        + 0.25 * s2 * (e0 ** 2 * b0 ** 2 - d0 ** 2) / den,
+    )
 
 
 class TestConstruction:
@@ -131,7 +164,7 @@ class TestGamma:
             raw = np.arctan2(params.beta0 ** 2 * np.sin(t),
                              2.0 * params.alpha0 * np.sin(t) + np.cos(t))
             unwrapped = params.gamma0 - 0.5 * np.unwrap(raw)
-            ours = np.array([flow(params, tk).gamma for tk in t])
+            ours = flow(params, t).gamma
             assert_allclose(ours, unwrapped, atol=1e-10)
 
     def test_no_jumps_near_branch_points(self):
@@ -228,6 +261,37 @@ class TestMoments:
                 assert np.all(getattr(m, name) == column), name
             assert np.all(discriminant(params, ts)
                           == [discriminant(params, t) for t in ts.tolist()])
+
+    def test_array_flow_equals_scalar_reference(self, presets, random_params):
+        for params in [cfg.params for cfg in presets.values()] + random_params:
+            # The criterion-5 times and the PDE-residual times.
+            ts = np.concatenate((ver._product_times(params), RESIDUAL_TIMES))
+            state = flow(params, ts)
+            expected = np.array([scalar_flow(params, t) for t in ts.tolist()])
+            for k, name in enumerate(STATE_FIELDS):
+                assert np.all(getattr(state, name) == expected[:, k]), name
+            for t in RESIDUAL_TIMES.tolist():
+                one = flow(params, t)
+                fields = tuple(getattr(one, name) for name in STATE_FIELDS)
+                assert all(type(v) is float for v in fields)
+                assert fields == scalar_flow(params, t)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_eval_psi_rows_equal_scalar_calls(self, presets, n):
+        x = uniform_grid(*ver.RESIDUAL_GRID)
+        for cfg in presets.values():
+            spec = StateSpec(cfg.params, n)
+            block = eval_psi(spec, x, RESIDUAL_TIMES)
+            assert block.shape == (RESIDUAL_TIMES.size, x.size)
+            for row, t in zip(block, RESIDUAL_TIMES.tolist()):
+                assert np.array_equal(row, eval_psi(spec, x, t))
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_array_param_state_rejects_nonpositive_mu(self, mu):
+        fields = [np.ones(3) for _ in STATE_FIELDS]
+        fields[1] = np.array([1.0, mu, 2.0])
+        with pytest.raises(DomainError, match="mu must stay positive"):
+            ParamState(*fields)
 
     def test_moment_set_rejects_nonfinite(self):
         with pytest.raises(DomainError, match="finite"):
