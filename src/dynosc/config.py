@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from .errors import ConfigError
 from .flows import OscillatorParams
 from .hermite import N_MAX
+from .states import MIN_GRID_POINTS
 
 SCHEMA_VERSION = 1
 
@@ -38,9 +39,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ConfigError("grid.x_min must be below grid.x_max")
-        if not 16 <= self.points <= MAX_GRID_POINTS:
+        if not MIN_GRID_POINTS <= self.points <= MAX_GRID_POINTS:
             raise ConfigError(
-                f"grid.points must be in [16, {MAX_GRID_POINTS}]")
+                f"grid.points must be in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]")
 
 
 @dataclass(frozen=True)

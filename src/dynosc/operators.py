@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .flows import flow
 from .states import POSITION, handed_over
-from .stencils import INTERIOR_MARGIN, diff1, diff2, interior, l2_norm
+from .stencils import diff1, diff2, interior, l2_norm
 
 ANNIHILATION = "annihilation"
 CREATION = "creation"
@@ -107,21 +107,21 @@ def apply_invariant(spec, frame, t):
     return frame.with_amplitudes(handed_over(out))
 
 
-def rayleigh_quotient(frame, transformed, margin=INTERIOR_MARGIN):
+def rayleigh_quotient(frame, transformed):
     """Re <psi, O psi> / <psi, psi> over the interior."""
-    psi = interior(frame.amplitudes, margin)
-    opsi = interior(transformed.amplitudes, margin)
+    psi = interior(frame.amplitudes)
+    opsi = interior(transformed.amplitudes)
     num = np.trapezoid(np.conj(psi) * opsi, dx=frame.dx)
     den = np.trapezoid(np.abs(psi) ** 2, dx=frame.dx)
     return float(num.real / den.real)
 
 
-def invariant_report(spec, frame, t, margin=INTERIOR_MARGIN):
+def invariant_report(spec, frame, t):
     """Rayleigh estimate of E(t) on a frame plus the eigen-residual norm."""
     transformed = apply_invariant(spec, frame, t)
-    estimate = rayleigh_quotient(frame, transformed, margin)
-    resid = interior(transformed.amplitudes - estimate * frame.amplitudes, margin)
-    rel = l2_norm(resid, frame.dx) / l2_norm(interior(frame.amplitudes, margin), frame.dx)
+    estimate = rayleigh_quotient(frame, transformed)
+    resid = interior(transformed.amplitudes - estimate * frame.amplitudes)
+    rel = l2_norm(resid, frame.dx) / l2_norm(interior(frame.amplitudes), frame.dx)
     return OperatorReport(rel, estimate)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .flows import flow
 from .states import MOMENTUM, POSITION, WaveFrame, eval_psi, handed_over
-from .stencils import INTERIOR_MARGIN, diff2, interior, l2_norm
+from .stencils import diff2, interior, l2_norm
 
 MINUS_GAMMA = "minus_gamma"
 MINUS_TWO_GAMMA = "minus_two_gamma"
@@ -80,9 +80,9 @@ class ComovingFrame:
         object.__setattr__(self, "chi", chi)
 
 
-def _relative_norms(residual, reference, dx, margin=INTERIOR_MARGIN):
-    res = interior(residual, margin)
-    ref = interior(reference, margin)
+def _relative_norms(residual, reference, dx):
+    res = interior(residual)
+    ref = interior(reference)
     ref_l2 = l2_norm(ref, dx)
     # A zero L2 norm also covers a zero maximum: every sample underflowed.
     if ref_l2 == 0:
@@ -111,7 +111,7 @@ def schrodinger_residual(spec, grid, t, dt=1e-4):
 
 
 @functools.lru_cache(maxsize=1)
-def _kernel(phase, out_bytes, in_bytes):
+def _kernel(phase, grid_bytes):
     """Read-only e^{phase k x} matrix, keyed on the grid values themselves.
 
     One entry (16 N^2 bytes for N-point grids): the DFT callers transform one
@@ -119,30 +119,30 @@ def _kernel(phase, out_bytes, in_bytes):
     a miss the cache still holds the previous kernel, so the new one is built
     in place, with the same arithmetic as exp(phase * outer(k, x)).
     """
-    out_grid, in_grid = np.frombuffer(out_bytes), np.frombuffer(in_bytes)
-    kernel = np.empty((out_grid.size, in_grid.size), dtype=complex)
-    np.multiply.outer(out_grid, in_grid, out=kernel)
+    grid = np.frombuffer(grid_bytes)
+    kernel = np.empty((grid.size, grid.size), dtype=complex)
+    np.multiply.outer(grid, grid, out=kernel)
     kernel *= phase
     np.exp(kernel, out=kernel)
     kernel.flags.writeable = False
     return kernel
 
 
-def _quadrature_transform(frame, grid, phase, representation):
-    """Trapezoid sums of e^{phase k x} f(x) / sqrt(2 pi) over the frame grid."""
+def _quadrature_transform(frame, phase, representation):
+    """Trapezoid sums of e^{phase k x} f(x) / sqrt(2 pi) onto the frame grid."""
     weights = np.full(frame.grid.size, frame.dx)
     weights[0] = weights[-1] = 0.5 * frame.dx
-    kernel = _kernel(phase, grid.tobytes(), frame.grid.tobytes())
+    kernel = _kernel(phase, frame.grid.tobytes())
     amps = kernel @ (weights * frame.amplitudes) / math.sqrt(2.0 * math.pi)
-    return WaveFrame(representation, frame.t, grid, handed_over(amps))
+    return WaveFrame(representation, frame.t, frame.grid, handed_over(amps))
 
 
-def dft_momentum(frame, p_grid=None):
+def dft_momentum(frame):
     """Quadrature Fourier transform to the momentum representation.
 
     a(p) = (2 pi)^{-1/2} integral e^{-ipx} psi(x) dx by trapezoid sums.  The
-    default momentum grid reuses the position grid values, which covers the
-    momentum support of every preset.  Insufficient boundary decay triggers a
+    momentum grid reuses the position grid values, which covers the momentum
+    support of every preset.  Insufficient boundary decay triggers a
     PrecisionWarning rather than an error.
     """
     if frame.representation != POSITION:
@@ -152,16 +152,14 @@ def dft_momentum(frame, p_grid=None):
         warnings.warn(
             "boundary density exceeds 1e-12; momentum samples lose accuracy",
             PrecisionWarning, stacklevel=2)
-    p = frame.grid if p_grid is None else np.asarray(p_grid, dtype=float)
-    return _quadrature_transform(frame, p, -1j, MOMENTUM)
+    return _quadrature_transform(frame, -1j, MOMENTUM)
 
 
-def idft_position(frame, x_grid=None):
+def idft_position(frame):
     """Inverse transform (kernel e^{+ipx}/sqrt(2 pi)) back to position."""
     if frame.representation != MOMENTUM:
         raise DomainError("idft_position expects a momentum-representation frame")
-    x = frame.grid if x_grid is None else np.asarray(x_grid, dtype=float)
-    return _quadrature_transform(frame, x, 1j, POSITION)
+    return _quadrature_transform(frame, 1j, POSITION)
 
 
 def split_step_propagate(initial, t_final, steps):
@@ -207,13 +205,11 @@ def split_step_propagate(initial, t_final, steps):
     return evolved[0] if single else evolved
 
 
-def comoving_frame(spec, t, tau_convention, xi_grid=None):
+def comoving_frame(spec, t, tau_convention):
     """Reconstruct chi(xi, tau) from the closed-form state at time t."""
     if tau_convention not in _TAU_CONVENTIONS:
         raise DomainError(f"tau convention must be one of {_TAU_CONVENTIONS}")
-    if xi_grid is None:
-        xi_grid = np.linspace(-10.0, 10.0, 2048)
-    xi = np.asarray(xi_grid, dtype=float)
+    xi = np.linspace(-10.0, 10.0, 2048)
     st = flow(spec.params, t)
     x = (xi - st.eps) / st.beta
     strip = np.exp(-1j * ((st.alpha * x + st.delta) * x + st.kappa))
@@ -222,15 +218,16 @@ def comoving_frame(spec, t, tau_convention, xi_grid=None):
     return ComovingFrame(xi, factor * st.gamma, chi)
 
 
-def comoving_residual(spec, t, tau_convention, xi_grid=None, dt=1e-5):
+def comoving_residual(spec, t, tau_convention):
     """Residual of 2i chi_tau + chi_xi xi - xi^2 chi under one tau convention.
 
     chi_tau is formed by the chain rule: closed-form reconstructions at
-    t +- dt divided by the tau increment of the chosen convention.
+    t +- 1e-5 divided by the tau increment of the chosen convention.
     """
-    before = comoving_frame(spec, t - dt, tau_convention, xi_grid)
-    here = comoving_frame(spec, t, tau_convention, xi_grid)
-    after = comoving_frame(spec, t + dt, tau_convention, xi_grid)
+    dt = 1e-5
+    before = comoving_frame(spec, t - dt, tau_convention)
+    here = comoving_frame(spec, t, tau_convention)
+    after = comoving_frame(spec, t + dt, tau_convention)
     dtau = after.tau - before.tau
     if abs(dtau) < 1e-14:
         raise DomainError(
@@ -249,6 +246,8 @@ def quadrature_moment(frame, power):
         raise DomainError("power must be 0, 1 or 2")
     density = frame.density()
     total = np.trapezoid(density, dx=frame.dx)
+    if total == 0:
+        raise DomainError("the state vanishes on the grid")
     if power == 0:
         return 1.0
     weighted = np.trapezoid(frame.grid ** power * density, dx=frame.dx)

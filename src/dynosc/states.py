@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .flows import BETA0_QUARTIC, OscillatorParams, flow, momentum_params
+from .flows import OscillatorParams, flow, momentum_params
 from .hermite import check_order, hermite_function
 
 POSITION = "position"
@@ -122,7 +122,7 @@ class WaveFrame:
 def uniform_grid(x_min, x_max, points):
     """Uniform sampling grid including both endpoints."""
     if not (x_min < x_max) or points < MIN_GRID_POINTS:
-        raise DomainError("need x_min < x_max and at least 16 points")
+        raise DomainError(f"need x_min < x_max and at least {MIN_GRID_POINTS} points")
     return np.linspace(float(x_min), float(x_max), int(points))
 
 
@@ -152,9 +152,9 @@ def eval_psi_invariant_frame(spec, x, t):
     return _assemble(spec, x, t, with_lewis_phase=False)
 
 
-def eval_momentum(spec, p, t, denominator=BETA0_QUARTIC):
+def eval_momentum(spec, p, t):
     """Momentum-representation wavefunction a_n(p, t)."""
-    mapped = StateSpec(momentum_params(spec.params, denominator), spec.n)
+    mapped = StateSpec(momentum_params(spec.params), spec.n)
     return eval_psi(mapped, p, t)
 
 

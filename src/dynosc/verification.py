@@ -30,7 +30,8 @@ from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, comoving_residual,
                      dft_momentum, schrodinger_residual, split_step_propagate)
 from .pool import ordered_map
 from .states import (POSITION, StateSpec, WaveFrame, eval_psi,
-                     eval_psi_invariant_frame, sample_frame, uniform_grid)
+                     eval_psi_invariant_frame, handed_over, sample_frame,
+                     uniform_grid)
 from .stencils import interior, l2_norm
 
 EIGHT_TIMES = tuple(2.0 * math.pi * k / 8.0 for k in range(8))
@@ -72,13 +73,6 @@ def _within(name, value, lo, hi):
 
 def _presets():
     return {name: preset_config(name) for name in PRESET_NAMES}
-
-
-def _l2_gap(a, b, dx, margin=0):
-    diff = a - b
-    if margin:
-        diff = interior(diff, margin)
-    return l2_norm(diff, dx)
 
 
 def _random_params(count):
@@ -177,18 +171,18 @@ def ladder_algebra():
         for t in EIGHT_TIMES[::2]:
             lower = FirstOrderOperator.at_time(ANNIHILATION, cfg.params, t)
             raise_ = FirstOrderOperator.at_time(CREATION, cfg.params, t)
-            states = {n: eval_psi_invariant_frame(StateSpec(cfg.params, n), grid, t)
-                      for n in range(7)}
-            norms = {n: l2_norm(interior(states[n]), dx) for n in states}
+            frames = [WaveFrame(POSITION, t, grid, handed_over(
+                eval_psi_invariant_frame(StateSpec(cfg.params, n), grid, t)))
+                for n in range(7)]
+            states = [f.amplitudes for f in frames]
+            norms = [l2_norm(interior(s), dx) for s in states]
             for n in range(1, 7):
-                frame = WaveFrame(POSITION, t, grid, states[n])
-                got = apply_ladder(lower, frame).amplitudes
-                gap = _l2_gap(got, math.sqrt(n) * states[n - 1], dx, margin=8)
+                got = apply_ladder(lower, frames[n]).amplitudes
+                gap = l2_norm(interior(got - math.sqrt(n) * states[n - 1]), dx)
                 down = max(down, gap / norms[n])
             for n in range(0, 6):
-                frame = WaveFrame(POSITION, t, grid, states[n])
-                got = apply_ladder(raise_, frame).amplitudes
-                gap = _l2_gap(got, math.sqrt(n + 1) * states[n + 1], dx, margin=8)
+                got = apply_ladder(raise_, frames[n]).amplitudes
+                gap = l2_norm(interior(got - math.sqrt(n + 1) * states[n + 1]), dx)
                 up = max(up, gap / norms[n])
         results.append(_below(f"ladder_lowering[{name}]", down, 1e-6))
         results.append(_below(f"ladder_raising[{name}]", up, 1e-6))
@@ -233,18 +227,18 @@ def textbook_limit():
 
 # -- criterion 5: uncertainty structure --------------------------------------
 
-def _product_times(params, samples=10000):
+def _product_times(params):
     """Times that pin the minimum of var_x * var_p: dense scan plus extrema.
 
     The oscillating part of the product is B cos 2t - C sin 2t with
-    B = 4 alpha0^2 + beta0^4 - 1 and C = 4 alpha0; a uniform grid alone
-    resolves the minimum only to O((2 pi / samples)^2), so the exact
-    extremizers 2t = atan2(-C, B) + k pi are appended to the sample.
+    B = 4 alpha0^2 + beta0^4 - 1 and C = 4 alpha0; a uniform grid of 10,000
+    times alone resolves the minimum only to O((2 pi / 10,000)^2), so the
+    exact extremizers 2t = atan2(-C, B) + k pi are appended to the sample.
     """
     b = 4.0 * params.alpha0 ** 2 + params.beta0 ** 4 - 1.0
     c = 4.0 * params.alpha0
     base = math.atan2(-c, b)
-    return np.concatenate((2.0 * math.pi * np.arange(samples) / samples,
+    return np.concatenate((2.0 * math.pi * np.arange(10000) / 10000,
                            (base + np.arange(4) * math.pi) / 2.0))
 
 
@@ -275,7 +269,7 @@ def _momentum_gap(params, n, t, grid, denominator):
     numeric = dft_momentum(pos)
     mapped = StateSpec(momentum_params(params, denominator), n)
     closed = sample_frame(mapped, POSITION, grid, t)
-    return _l2_gap(numeric.amplitudes, closed.amplitudes, pos.dx)
+    return l2_norm(numeric.amplitudes - closed.amplitudes, pos.dx)
 
 
 def _worst_momentum_gap(params, times, denominator):
@@ -363,8 +357,8 @@ def _split_step_gaps(specs):
     grid = uniform_grid(*PROPAGATION_GRID)
     starts = [sample_frame(spec, POSITION, grid, 0.0) for spec in specs]
     evolved = split_step_propagate(starts, 1.0, 4096)
-    return [_l2_gap(out.amplitudes,
-                    sample_frame(spec, POSITION, grid, 1.0).amplitudes, out.dx)
+    return [l2_norm(out.amplitudes
+                    - sample_frame(spec, POSITION, grid, 1.0).amplitudes, out.dx)
             for spec, out in zip(specs, evolved)]
 
 

@@ -465,6 +465,15 @@ def measured_in_workers(monkeypatch):
     swap_functions(monkeypatch, ver, {fn: in_worker(fn) for fn in jobs})
 
 
+class TestJobOrder:
+    def test_job_order_is_a_permutation_of_the_criteria(self):
+        # A criterion missing from JOB_ORDER would never run, and
+        # run_acceptance would die on its index instead of exiting.
+        functions = [fn for _, fn in ver.CRITERIA]
+        assert sorted(functions.index(fn) for fn in ver.JOB_ORDER) == list(
+            range(len(ver.CRITERIA)))
+
+
 @needs_fork
 class TestVerifyPool:
     """verify on forked workers prints what the serial run prints."""
@@ -654,6 +663,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+        assert "Traceback" not in err
+
+    def test_vanishing_state_moments_check_exit_code(self, tmp_path, capsys):
+        # The state sits at xi = x + 100: its density underflows to 0 on the
+        # whole grid, so no quadrature moment exists.
+        path = write_config(tmp_path, params={"eps0": 100.0},
+                            grid={"x_min": -12.0, "x_max": 12.0},
+                            time={"frames": 2})
+        assert main(["moments", "--config", str(path), "--check"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error:" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])

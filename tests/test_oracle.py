@@ -176,13 +176,14 @@ class TestFourier:
             assert np.all(back.amplitudes == uncached_transform(mom, x, 1j))
 
     def test_grid_mutated_in_place(self):
+        # The kernel cache is keyed on the grid values, not the array object.
         x = uniform_grid(-12.0, 12.0, 1024)
         pos = sample_frame(StateSpec(EXAMPLE3, 0), POSITION, x, 0.0)
-        p = uniform_grid(-12.0, 12.0, 1024)
-        first = dft_momentum(pos, p).amplitudes.copy()
-        p *= 0.5
-        second = dft_momentum(pos, p).amplitudes
-        assert np.all(second == uncached_transform(pos, p, -1j))
+        first = dft_momentum(pos).amplitudes.copy()
+        pos.grid.setflags(write=True)
+        pos.grid[:] *= 0.5
+        second = dft_momentum(pos).amplitudes
+        assert np.all(second == uncached_transform(pos, pos.grid, -1j))
         assert not np.all(second == first)
 
     def test_written_amplitudes_leave_the_kernel_alone(self):
@@ -311,6 +312,15 @@ class TestQuadratureMoment:
         x = uniform_grid(-12.0, 12.0, 256)
         frame = sample_frame(StateSpec(EXAMPLE3, 0), POSITION, x, 0.4)
         assert quadrature_moment(frame, 0) == 1.0
+
+    def test_vanishing_state_is_domain_error(self):
+        # The density underflows to 0 everywhere; 0 / 0 is no moment.
+        x = uniform_grid(-12.0, 12.0, 64)
+        params = OscillatorParams(mu0=1.0, beta0=1.0, eps0=100.0)
+        frame = sample_frame(StateSpec(params, 0), POSITION, x, 0.0)
+        for power in (0, 1, 2):
+            with pytest.raises(DomainError, match="vanishes"):
+                quadrature_moment(frame, power)
 
     def test_rejects_higher_powers(self):
         x = uniform_grid(-12.0, 12.0, 256)
