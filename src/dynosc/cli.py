@@ -10,7 +10,9 @@ error, 3 I/O error.  Frame CSVs carry the header x,density,re_psi,im_psi
 (p,density,re_a,im_a for momentum frames), LF line endings, and floats as
 shortest round-trip decimals, so identical configs produce byte-identical
 output.  Each evolve run writes a manifest.json listing every written file
-with its sha256.
+with its sha256.  evolve reuses an output directory only if it is empty or
+holds a readable manifest.json (exit 3 otherwise), and then first removes
+the files that manifest lists under evolve's own file names.
 
 verify and evolve run on every usable core (`pool.ordered_map`); the parent
 alone prints, hashes and writes, so the bytes do not depend on the number of
@@ -26,6 +28,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,9 +37,11 @@ import numpy as np
 from .config import PRESET_NAMES, load_config, preset_config
 from .errors import ConfigError, DomainError
 from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
-from .oracle import MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum, quadrature_moment
+from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum_rows,
+                     quadrature_moment_rows, time_blocks)
 from .pool import ordered_map
-from .states import MOMENTUM, POSITION, StateSpec, sample_frame, uniform_grid
+from .states import (MOMENTUM, POSITION, StateSpec, check_grid, eval_psi,
+                     sample_frame, uniform_grid)
 from .verification import run_acceptance, scoped_checks
 
 EXIT_OK = 0
@@ -52,6 +57,9 @@ EXIT_IO = 3
 POOL_MIN_WORK = 12288
 # Frame files per task sent to a worker.
 POOL_CHUNK = 4
+
+# Names of the files evolve writes beside manifest.json.
+_OWN_FILE = re.compile(r"(position|momentum)_[0-9]{4,}\.csv|moments\.csv")
 
 
 def _resolve_config(args):
@@ -119,22 +127,23 @@ def _moment_rows(config, check=False):
     times = config.time.times()
     m = classical_moments(config.params, config.n, times)
     checked = (m.mean_x, m.mean_p, m.var_x, m.var_p)
-    columns = [np.asarray(times, dtype=float), *checked, m.product, m.energy]
+    t = np.asarray(times, dtype=float)
+    columns = [t, *checked, m.product, m.energy]
     if check:
         header += ",err_mean_x,err_mean_p,err_var_x,err_var_p"
         spec = StateSpec(config.params, config.n)
         grid = uniform_grid(config.grid.x_min, config.grid.x_max, config.grid.points)
-        errors = []
-        for k, t in enumerate(times):
-            pos = sample_frame(spec, POSITION, grid, t)
-            mom = dft_momentum(pos)
-            qx = quadrature_moment(pos, 1)
-            qp = quadrature_moment(mom, 1)
-            quad = (qx, qp, quadrature_moment(pos, 2) - qx * qx,
-                    quadrature_moment(mom, 2) - qp * qp)
-            errors.append([abs(q - c[k]) / max(1.0, abs(c[k]))
-                           for q, c in zip(quad, checked)])
-        columns += list(np.array(errors, dtype=float).T)
+        check_grid(grid)
+        # Rows <x>, <p>, <x^2>, <p^2>; the last two become the variances.
+        quad = np.empty((4, t.size))
+        for block in time_blocks(t.size, grid.size):
+            pos = eval_psi(spec, grid, t[block])
+            mom = dft_momentum_rows(grid, pos)
+            quad[0::2, block] = quadrature_moment_rows(grid, pos)
+            quad[1::2, block] = quadrature_moment_rows(grid, mom)
+        quad[2:] -= quad[:2] * quad[:2]
+        columns += [np.abs(q - c) / np.maximum(1.0, np.abs(c))
+                    for q, c in zip(quad, checked)]
     return _csv(header, map(_column_text, columns))
 
 
@@ -166,10 +175,37 @@ def _frame_text(spec, grid, grid_text, job):
     return _frame_rows(header, grid_text, columns)
 
 
+def _previous_run(out_dir):
+    """The files of an earlier evolve run in out_dir, its manifest last.
+
+    Only names that the run's manifest.json lists and that evolve writes
+    count, so no other file is ever removed.  [] for an empty directory;
+    None for one that holds files but no readable manifest.
+    """
+    manifest = out_dir / "manifest.json"
+    if not manifest.exists():
+        return None if any(out_dir.iterdir()) else []
+    try:
+        listed = json.loads(manifest.read_text(encoding="utf-8"))
+        names = [entry["file"] for entry in listed["frames"]]
+        if "moments_file" in listed:
+            names.append(listed["moments_file"]["file"])
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return None
+    return [out_dir / name for name in names
+            if isinstance(name, str) and _OWN_FILE.fullmatch(name)] + [manifest]
+
+
 def cmd_evolve(args, config):
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        previous = _previous_run(out_dir)
+        if previous is None:
+            print(f"output directory {out_dir} is not empty and holds no "
+                  "readable manifest.json; evolve reuses only a directory it "
+                  "wrote", file=sys.stderr)
+            return EXIT_IO
         probe = out_dir / ".write_probe"
         probe.write_bytes(b"")
         probe.unlink()
@@ -193,6 +229,10 @@ def cmd_evolve(args, config):
     written = []
     complete = False
     try:
+        # The manifest goes last, so a run stopped half way still lists
+        # whatever it left.
+        for path in previous:
+            path.unlink(missing_ok=True)
         with ordered_map(texts, jobs,
                          parallel=len(jobs) * grid.size >= POOL_MIN_WORK,
                          chunk=POOL_CHUNK) as results:

@@ -68,6 +68,23 @@ def handed_over(values):
     return out
 
 
+def check_grid(grid):
+    """Raise DomainError unless grid is a 1-D, strictly increasing, uniformly
+    spaced float array of at least MIN_GRID_POINTS points."""
+    if grid.ndim != 1 or grid.size < MIN_GRID_POINTS:
+        raise DomainError(
+            f"grid must be 1-D with at least {MIN_GRID_POINTS} points")
+    steps = np.diff(grid)
+    if not np.all(steps > 0):
+        raise DomainError("grid must be strictly increasing")
+    h = steps[0]
+    # The verdict of np.allclose(steps, h, rtol=1e-9, atol=1e-12 |h|):
+    # |steps - h| <= atol + rtol |h| everywhere, and h finite.
+    if (not math.isfinite(h)
+            or np.max(np.abs(steps - h)) > 1e-12 * abs(h) + 1e-9 * abs(h)):
+        raise DomainError("grid must be uniformly spaced")
+
+
 @dataclass(frozen=True, eq=False)
 class WaveFrame:
     """Complex amplitude samples on a uniform grid at one time."""
@@ -83,18 +100,7 @@ class WaveFrame:
                 f"representation must be {POSITION!r} or {MOMENTUM!r}")
         grid = _frozen(self.grid, float)
         amps = _frozen(self.amplitudes, complex)
-        if grid.ndim != 1 or grid.size < MIN_GRID_POINTS:
-            raise DomainError(
-                f"grid must be 1-D with at least {MIN_GRID_POINTS} points")
-        steps = np.diff(grid)
-        if not np.all(steps > 0):
-            raise DomainError("grid must be strictly increasing")
-        h = steps[0]
-        # The verdict of np.allclose(steps, h, rtol=1e-9, atol=1e-12 |h|):
-        # |steps - h| <= atol + rtol |h| everywhere, and h finite.
-        if (not math.isfinite(h)
-                or np.max(np.abs(steps - h)) > 1e-12 * abs(h) + 1e-9 * abs(h)):
-            raise DomainError("grid must be uniformly spaced")
+        check_grid(grid)
         if amps.shape != grid.shape:
             raise DomainError("amplitudes must match the grid point for point")
         if not np.isfinite(amps).all():

@@ -51,5 +51,6 @@ def interior(values, margin=INTERIOR_MARGIN):
 
 
 def l2_norm(values, dx):
-    """Trapezoid L2 norm of (complex) samples."""
-    return float(np.sqrt(np.trapezoid(np.abs(np.asarray(values)) ** 2, dx=dx)))
+    """Trapezoid L2 norm of (complex) samples; of each row of a 2-D block."""
+    norms = np.sqrt(np.trapezoid(np.abs(np.asarray(values)) ** 2, dx=dx))
+    return float(norms) if norms.ndim == 0 else norms

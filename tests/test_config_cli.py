@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dynosc import (MOMENTUM, POSITION, ConfigError, DomainError, StateSpec,
-                    sample_frame, uniform_grid)
+from dynosc import (MOMENTUM, POSITION, ConfigError, DomainError,
+                    PrecisionWarning, StateSpec, sample_frame, uniform_grid)
 from dynosc import cli, pool
 from dynosc import verification as ver
 from dynosc.cli import main
@@ -327,12 +327,69 @@ class TestEvolveCommand:
         assert not (out / "manifest.json").exists()
 
     def test_failed_write_leaves_no_files(self, tmp_path, capsys):
-        path = write_config(tmp_path)
+        # An earlier one-frame run leaves its files and manifest; a directory
+        # it did not write blocks this run's 2nd frame.  The failed run
+        # leaves none of its own files, and the earlier run's are gone.
         out = tmp_path / "out"
-        (out / "position_0002.csv").mkdir(parents=True)  # blocks the 2nd frame
+        one_frame = write_config(tmp_path, time={"frames": 1})
+        assert main(["evolve", "--config", str(one_frame), "--out", str(out)]) == 0
+        (out / "position_0002.csv").mkdir()
+        path = write_config(tmp_path)
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
         assert "write failed" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["position_0002.csv"]
+
+    def test_reused_directory_drops_stale_frames(self, tmp_path):
+        out = tmp_path / "out"
+        five = write_config(tmp_path, time={"frames": 5},
+                            outputs=["position_density", "momentum_density",
+                                     "moments"])
+        assert main(["evolve", "--config", str(five), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        two = write_config(tmp_path, time={"frames": 2})
+        assert main(["evolve", "--config", str(two), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "position_0001.csv",
+            "position_0002.csv"]
+        assert [e["file"] for e in manifest["frames"]] == [
+            "position_0001.csv", "position_0002.csv"]
+        assert (out / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("manifest", [None, "not json", "[]",
+                                          '{"frames": [{"name": 1}]}'])
+    def test_foreign_directory_is_refused_and_left_alone(self, tmp_path, capsys,
+                                                         manifest):
+        out = tmp_path / "out"
+        out.mkdir()
+        foreign = {"position_0001.csv": b"mine", "notes.txt": b"also mine"}
+        if manifest is not None:
+            foreign["manifest.json"] = manifest.encode()
+        for name, data in foreign.items():
+            (out / name).write_bytes(data)
+        path = write_config(tmp_path)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert "no readable manifest.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == foreign
+
+    def test_removes_only_listed_names_it_writes(self, tmp_path):
+        # A manifest that lists other names (edited by hand, say) removes
+        # none of them: only evolve's own file names, without a separator.
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        kept = ["notes.txt", "sub/position_0001.csv", "../outside.csv",
+                "position_1.csv", "moments.csv.bak"]
+        for name in kept:
+            (out / name).write_text("foreign")
+        (out / "position_0009.csv").write_text("listed")
+        (out / "manifest.json").write_text(json.dumps({"frames": [
+            {"file": name} for name in [*kept, "position_0009.csv"]]}))
+        path = write_config(tmp_path)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        for name in kept:
+            assert (out / name).read_text() == "foreign"
+        assert not (out / "position_0009.csv").exists()
+        assert (out / "position_0001.csv").exists()
 
     def test_failed_replace_leaves_no_files(self, tmp_path, capsys,
                                             monkeypatch):
@@ -676,6 +733,17 @@ class TestVerifyCommand:
         assert out == ""
         assert "config error:" in err
         assert "Traceback" not in err
+
+    def test_narrow_grid_moments_check_warns(self, tmp_path, capsys):
+        # On [-3, 3] the ground state's boundary density is ~1e-4: the
+        # transform still runs, with a PrecisionWarning, and the table prints.
+        path = write_config(tmp_path, grid={"x_min": -3.0, "x_max": 3.0,
+                                            "points": 256},
+                            time={"frames": 40})
+        with pytest.warns(PrecisionWarning, match="boundary density"):
+            assert main(["moments", "--config", str(path), "--check"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].endswith(",err_var_p") and len(rows) == 41
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
