@@ -18,8 +18,11 @@ verify and evolve run on every usable core (`pool.ordered_map`); the parent
 alone prints, hashes and writes, so the bytes do not depend on the number of
 workers, and a serial run is `taskset -c 0`.  verify sends its criteria in a
 measured order (`verification.JOB_ORDER`): OpenBLAS's helper threads spin
-after each DFT call and take the other worker's core, so the criterion with
-the most DFT calls goes last.
+after each matrix-vector product of the quadrature DFT and take the other
+worker's core, so the criterion with the most DFT rows goes last.
+moments --check passes its frames to the DFT CHECK_FRAMES at a time; each
+call builds the quadrature kernel once, strip by strip, and never holds it
+whole.
 """
 
 import argparse
@@ -38,10 +41,10 @@ from .config import PRESET_NAMES, load_config, preset_config
 from .errors import ConfigError, DomainError
 from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
 from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum_rows,
-                     quadrature_moment_rows, time_blocks)
+                     psi_rows, quadrature_moment_rows)
 from .pool import ordered_map
-from .states import (MOMENTUM, POSITION, StateSpec, check_grid, eval_psi,
-                     sample_frame, uniform_grid)
+from .states import (MOMENTUM, POSITION, StateSpec, check_grid, sample_frame,
+                     uniform_grid)
 from .verification import run_acceptance, scoped_checks
 
 EXIT_OK = 0
@@ -57,6 +60,13 @@ EXIT_IO = 3
 POOL_MIN_WORK = 12288
 # Frame files per task sent to a worker.
 POOL_CHUNK = 4
+
+# Frames that `moments --check` transforms in one call.  Each call builds the
+# whole quadrature kernel, strip by strip (~35 ms at 1,024 points, seconds at
+# 8,192), and holds a few complex copies of its frames (4 MiB each at 256
+# frames of 1,024 points, 32 MiB at 8,192), so the presets' 101 frames take
+# one call and 1,001 frames four.
+CHECK_FRAMES = 256
 
 # Names of the files evolve writes beside manifest.json.
 _OWN_FILE = re.compile(r"(position|momentum)_[0-9]{4,}\.csv|moments\.csv")
@@ -136,11 +146,13 @@ def _moment_rows(config, check=False):
         check_grid(grid)
         # Rows <x>, <p>, <x^2>, <p^2>; the last two become the variances.
         quad = np.empty((4, t.size))
-        for block in time_blocks(t.size, grid.size):
-            pos = eval_psi(spec, grid, t[block])
-            mom = dft_momentum_rows(grid, pos)
-            quad[0::2, block] = quadrature_moment_rows(grid, pos)
-            quad[1::2, block] = quadrature_moment_rows(grid, mom)
+        for k in range(0, t.size, CHECK_FRAMES):
+            chunk = slice(k, k + CHECK_FRAMES)
+            rows = psi_rows(spec, grid, t[chunk])
+            quad[0::2, chunk] = quadrature_moment_rows(grid, rows)
+            # Rebound, so the position rows go before the momentum moments.
+            rows = dft_momentum_rows(grid, rows)
+            quad[1::2, chunk] = quadrature_moment_rows(grid, rows)
         quad[2:] -= quad[:2] * quad[:2]
         columns += [np.abs(q - c) / np.maximum(1.0, np.abs(c))
                     for q, c in zip(quad, checked)]

@@ -22,9 +22,11 @@ OUTPUT_KINDS = ("position_density", "momentum_density", "moments", "wavefunction
 
 PRESET_NAMES = ("schrodinger", "example1", "example2", "example3", "minuncert")
 
-# Upper bounds on a run's size.  `moments --check` holds a 16 N^2-byte
-# quadrature kernel: 1 GiB at 8192 points, the verification battery's largest
-# grid, and ~160 GB at 100,000.  Each frame is a row of `moments` or two CSV
+# Upper bounds on a run's size.  At 8192 points, the verification battery's
+# largest grid, `moments --check` holds one 8 MiB strip of the quadrature
+# kernel and a few 32 MiB blocks of 256 frames, and spends seconds per 256
+# frames building the kernel (N^2 complex exponentials each time) besides
+# N^2 multiply-adds per frame.  Each frame is a row of `moments` or two CSV
 # files of `evolve`; the frame cap is about a hundred preset clocks.
 MAX_GRID_POINTS = 8192
 MAX_FRAMES = 100_000

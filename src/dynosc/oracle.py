@@ -16,14 +16,16 @@ factor-two clock is the one that makes the textbook case the identity map).
 
 The quadrature transform and moments take a (T, N) block of amplitude rows
 on one grid (`dft_momentum_rows`, `quadrature_moment_rows`); `dft_momentum`,
-`idft_position` and `quadrature_moment` are their one-frame calls.  Every
-row goes through its own matrix-vector product with the cached kernel, so a
-block gives the same bits as one call per frame.  Callers cut long runs of
-times into blocks with `time_blocks`, so they hold the kernel plus one block
-of at most BLOCK_SAMPLES samples.
+`idft_position` and `quadrature_moment` are their one-frame calls.  The
+transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP rows at a time
+and applies each strip to every row of the block, so a call holds one strip
+(1 MiB at 1,024 points) beside the rows, but builds the whole kernel again:
+callers pass all of their rows in one call.  Every row goes through its own
+matrix-vector products, so a block gives the same bits as one call per frame.
+Callers evaluate long runs of times with `psi_rows`, in blocks of at most
+BLOCK_SAMPLES samples.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,16 +44,16 @@ _TAU_CONVENTIONS = (MINUS_GAMMA, MINUS_TWO_GAMMA)
 # Boundary density above which the quadrature Fourier transform loses digits.
 DFT_DECAY_THRESHOLD = 1e-12
 
-# Rows of the quadrature kernel computed at a time; 16 to 256 rows built a
-# 1,024-point kernel equally fast.
+# Rows of the quadrature kernel built and applied at a time: 1 KiB per grid
+# point, a 1 MiB strip at 1,024 points that stays in a core's L2 cache while
+# it meets every row.  16 to 256 rows built a 1,024-point kernel equally fast.
 KERNEL_STRIP = 64
 
-# Most samples, frames x grid points, in one block of frames that
-# `moments --check` and the momentum-map check evaluate and transform at a
-# time: 16 frames of 1,024 points, 2 of 8,192.  Each complex temporary of a
-# block then takes 256 KiB beside the 16 N^2-byte kernel.  On 101 frames of
-# 1,024 points, blocks of 8 to 128 frames took the same time (~55 ms, warm
-# kernel); 64-frame blocks added ~4 MB to the peak RSS, 16-frame ~1.6 MB.
+# Most samples, frames x grid points, that `psi_rows` evaluates at a time:
+# 16 frames of 1,024 points, 2 of 8,192, so each complex temporary of
+# `eval_psi` takes at most 256 KiB.  On 101 frames of 1,024 points, blocks of
+# 8 to 128 frames took the same time; 64-frame blocks added ~4 MB to the
+# peak RSS of `moments --check`, 16-frame ~1.6 MB.
 BLOCK_SAMPLES = 16384
 
 # Minimum split-step resolution: steps per unit time.
@@ -130,56 +132,52 @@ def schrodinger_residual(spec, grid, t, dt=1e-4):
     return ResidualReport(l2, linf, npts, dt)
 
 
-@functools.lru_cache(maxsize=1)
-def _kernel(phase, grid_bytes):
-    """Read-only e^{phase k x} matrix, keyed on the grid values themselves.
-
-    One entry (16 N^2 bytes for N-point grids): the DFT callers transform one
-    grid after another, so only the most recent kernel is worth keeping.  On
-    a miss the cache still holds the previous kernel, so the new one is built
-    in place.  The matrix is symmetric, and x_j x_k == x_k x_j exactly, so
-    only the upper triangle is computed, in strips of KERNEL_STRIP rows with
-    the arithmetic of exp(phase * outer(k, x)), and each strip is mirrored
-    below the diagonal: the same bits as the full build at about half the
-    cost.
-    """
-    grid = np.frombuffer(grid_bytes)
-    n = grid.size
-    kernel = np.empty((n, n), dtype=complex)
-    for i0 in range(0, n, KERNEL_STRIP):
-        i1 = min(i0 + KERNEL_STRIP, n)
-        upper = kernel[i0:i1, i0:]
-        np.multiply.outer(grid[i0:i1], grid[i0:], out=upper)
-        upper *= phase
-        np.exp(upper, out=upper)
-        kernel[i1:, i0:i1] = upper[:, i1 - i0:].T
-    kernel.flags.writeable = False
-    return kernel
+def psi_rows(spec, grid, times):
+    """eval_psi of spec on grid at each of times, a (T, N) block filled at
+    most BLOCK_SAMPLES samples (and at least one time) at a time."""
+    times = np.asarray(times, dtype=float)
+    rows = np.empty((times.size, grid.size), dtype=complex)
+    size = max(1, BLOCK_SAMPLES // grid.size)
+    for k in range(0, times.size, size):
+        rows[k:k + size] = eval_psi(spec, grid, times[k:k + size])
+    return rows
 
 
-def time_blocks(count, points):
-    """Slices that cut `count` times into consecutive blocks, each of at most
-    BLOCK_SAMPLES samples on a `points`-point grid (and at least one time)."""
-    size = max(1, BLOCK_SAMPLES // points)
-    return [slice(k, k + size) for k in range(0, count, size)]
+def _strips(n):
+    """Slices of KERNEL_STRIP kernel rows covering n rows; a 1-row remainder
+    joins the strip before it, since a 1-row product sums in another order."""
+    starts = list(range(0, n, KERNEL_STRIP))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _quadrature_transform(grid, rows, phase):
     """Trapezoid sums of e^{phase k x} f(x) / sqrt(2 pi) onto the grid, for
     each row f of a (T, N) amplitude block on that grid, or for one (N,) row.
 
-    One matrix-vector product per row: a matrix-matrix product (zgemm) sums
-    in another order and changes the bits.
+    The kernel exp(phase * outer(k, x)) is built one strip of rows at a time
+    into one buffer, and each strip is applied to every row while it is
+    still in cache, so the call holds one strip beside the rows, never the
+    N^2 kernel.  One matrix-vector product per strip and row: a strip of two
+    or more rows gives the bits of the same rows of the full `kernel @ f`,
+    while a matrix-matrix product (zgemm) sums in another order.
     """
     dx = float(grid[1] - grid[0])
     weights = np.full(grid.size, dx)
     weights[0] = weights[-1] = 0.5 * dx
-    kernel = _kernel(phase, grid.tobytes())
     weighted = weights * rows
     out = np.empty_like(weighted)
-    for row, values in zip(out.reshape(-1, grid.size),
-                           weighted.reshape(-1, grid.size)):
-        np.matmul(kernel, values, out=row)
+    pairs = list(zip(out.reshape(-1, grid.size),
+                     weighted.reshape(-1, grid.size)))
+    buffer = np.empty((KERNEL_STRIP + 1, grid.size), dtype=complex)
+    for strip in _strips(grid.size):
+        kernel = buffer[:strip.stop - strip.start]
+        np.multiply.outer(grid[strip], grid, out=kernel)
+        kernel *= phase
+        np.exp(kernel, out=kernel)
+        for row, values in pairs:
+            np.matmul(kernel, values, out=row[strip])
     out /= math.sqrt(2.0 * math.pi)
     if not np.isfinite(out).all():
         raise DomainError("amplitudes must be finite")
@@ -254,12 +252,19 @@ def split_step_propagate(initial, t_final, steps):
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=frames[0].dx)
     half_potential = np.exp(-0.25j * dt * x * x)
     kinetic = np.exp(-0.5j * dt * k * k)
-    # Out-of-place products on purpose: an in-place `psi *= ...` changes bits.
+    # Every operation reads one buffer and writes the other, with the
+    # operands in the order of `psi = half_potential * psi` and
+    # `psi = np.fft.ifft(kinetic * np.fft.fft(psi))`: an in-place
+    # `psi *= ...` changes bits.
     psi = np.stack([f.amplitudes for f in frames])
+    spare = np.empty_like(psi)
     for _ in range(steps):
-        psi = half_potential * psi
-        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
-        psi = half_potential * psi
+        np.multiply(half_potential, psi, out=spare)
+        np.fft.fft(spare, out=psi)
+        np.multiply(kinetic, psi, out=spare)
+        np.fft.ifft(spare, out=psi)
+        np.multiply(half_potential, psi, out=spare)
+        psi, spare = spare, psi
     evolved = [WaveFrame(POSITION, f.t + t_final, x, row)
                for f, row in zip(frames, psi)]
     return evolved[0] if single else evolved

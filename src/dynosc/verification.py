@@ -27,8 +27,8 @@ from .flows import (BETA0_QUARTIC, BETA0_SQUARED, OscillatorParams,
 from .operators import (ANNIHILATION, CREATION, FirstOrderOperator,
                         apply_ladder, commutator_check, invariant_report)
 from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, comoving_residual,
-                     dft_momentum, dft_momentum_rows, schrodinger_residual,
-                     split_step_propagate, time_blocks)
+                     dft_momentum_rows, psi_rows, quadrature_moment_rows,
+                     schrodinger_residual, split_step_propagate)
 from .pool import ordered_map
 from .states import (POSITION, StateSpec, WaveFrame, eval_psi,
                      eval_psi_invariant_frame, handed_over, sample_frame,
@@ -213,15 +213,17 @@ def textbook_limit():
         _below("textbook_pointwise[schrodinger, n<=6]", worst_point, 1e-12),
         _below("textbook_variances_closed_form", worst_var, 1e-12),
     ]
-    from .oracle import quadrature_moment
+    # The frames n <= 4 at t = 0.9 and their momentum rows, one transform.
+    pos = np.stack([eval_psi(StateSpec(cfg.params, n), x, 0.9)
+                    for n in range(5)])
     worst_quad = 0.0
-    for n in range(5):
-        spec = StateSpec(cfg.params, n)
-        pos = sample_frame(spec, POSITION, x, 0.9)
-        mom = dft_momentum(pos)
-        for frame in (pos, mom):
-            var = quadrature_moment(frame, 2) - quadrature_moment(frame, 1) ** 2
-            worst_quad = max(worst_quad, abs(var - (n + 0.5)))
+    for rows in (pos, dft_momentum_rows(x, pos)):
+        first, second = quadrature_moment_rows(x, rows)
+        # float_power calls libm pow like the scalar `**`; x * x can differ
+        # by 1 ulp.
+        var = second - np.float_power(first, 2.0)
+        worst_quad = max(worst_quad,
+                         float(np.max(np.abs(var - (np.arange(5) + 0.5)))))
     results.append(_below("textbook_variances_quadrature", worst_quad, 1e-8))
     return results
 
@@ -264,33 +266,45 @@ def uncertainty_structure():
 
 # -- criterion 6: momentum representation ------------------------------------
 
-def _momentum_gaps(params, n, times, denominator):
-    """L2 gap between the quadrature transform of psi_n and the closed-form
+def _momentum_transforms(params_list, times):
+    """Quadrature transforms of psi_n, n <= 4, of each params at each of the
+    times on the transform grid, all in one call: (P, 5, T, N)."""
+    grid = uniform_grid(*TRANSFORM_GRID)
+    pos = np.concatenate([psi_rows(StateSpec(params, n), grid, times)
+                          for params in params_list for n in range(5)])
+    return dft_momentum_rows(grid, pos).reshape(
+        len(params_list), 5, len(times), grid.size)
+
+
+def _momentum_gaps(numeric, params, n, times, denominator):
+    """L2 gap between the transforms `numeric` of psi_n and the closed-form
     momentum state, at each of the times, on the transform grid."""
     grid = uniform_grid(*TRANSFORM_GRID)
-    spec = StateSpec(params, n)
     mapped = StateSpec(momentum_params(params, denominator), n)
-    times = np.asarray(times, dtype=float)
-    dx = float(grid[1] - grid[0])
-    gaps = []
-    for block in time_blocks(times.size, grid.size):
-        numeric = dft_momentum_rows(grid, eval_psi(spec, grid, times[block]))
-        gaps.append(l2_norm(numeric - eval_psi(mapped, grid, times[block]), dx))
-    return np.concatenate(gaps)
+    return l2_norm(numeric - psi_rows(mapped, grid, times),
+                   float(grid[1] - grid[0]))
 
 
-def _worst_momentum_gap(params, times, denominator):
-    return max(float(_momentum_gaps(params, n, times, denominator).max())
+def _worst_momentum_gap(numeric, params, times, denominator):
+    """Worst gap over n <= 4, given the (5, T, N) transforms of params."""
+    return max(float(_momentum_gaps(numeric[n], params, n, times,
+                                    denominator).max())
                for n in range(5))
 
 
 def momentum_representation(denominator=BETA0_QUARTIC):
+    presets = _presets()
+    numeric = _momentum_transforms([cfg.params for cfg in presets.values()],
+                                   EIGHT_TIMES)
     results = [_below(f"momentum_map[{name}, n<=4]",
-                      _worst_momentum_gap(cfg.params, EIGHT_TIMES, denominator),
-                      1e-8)
-               for name, cfg in _presets().items()]
-    control = float(_momentum_gaps(preset_config("example3").params, 0, (0.0,),
-                                   BETA0_SQUARED)[0])
+                      _worst_momentum_gap(rows, cfg.params, EIGHT_TIMES,
+                                          denominator), 1e-8)
+               for (name, cfg), rows in zip(presets.items(), numeric)]
+    # The control's frame (example3, n = 0, t = 0) is a row of numeric.
+    example3 = list(presets).index("example3")
+    control = float(_momentum_gaps(numeric[example3, 0, :1],
+                                   presets["example3"].params, 0,
+                                   EIGHT_TIMES[:1], BETA0_SQUARED)[0])
     results.append(_above("momentum_map_negative_control[example3, beta0sq]",
                           control, 1e-2))
     return results
@@ -452,10 +466,11 @@ CRITERIA = (
 # Wall times run alone: 9 0.57-0.72 s, 2 0.48-0.60 s, 6 0.27-0.32 s,
 # 3 0.25-0.31 s, 5 0.12-0.14 s, every other one under 0.09 s.  Longest
 # first, so that no long one starts late, except for the two criteria that
-# call the BLAS-backed DFT (`kernel @ v`): after each call OpenBLAS's helper
-# threads spin for a while and take the other worker's core.  4 makes its
-# few DFT calls early; 6 makes about 200 (one per frame, in blocks) and goes
-# last, while the other worker runs out of small jobs.  A pooled `verify`
+# call the BLAS-backed DFT (matrix-vector products): after each product
+# OpenBLAS's helper threads spin for a while and take the other worker's
+# core.  4 makes its one DFT call (5 rows) early; 6 makes one of 200 rows,
+# about 3,200 strip products, and goes last, while the other worker runs out
+# of small jobs.  A pooled `verify`
 # took 1.0-1.4 s in this order, 1.2-1.6 s with 6 and 4 last and 1.5-1.7 s
 # longest first (fresh processes, interleaved).
 JOB_ORDER = (textbook_limit, independent_propagation, invariant_spectrum,
@@ -503,7 +518,8 @@ def _scoped_measurements(config, denominator, tau_convention):
         _below("ladder_commutator", _commutator_residual(params, (0.0, 1.0)),
                1e-7),
         _below("momentum_map[n<=4]",
-               _worst_momentum_gap(params, half, denominator), 1e-8),
+               _worst_momentum_gap(_momentum_transforms([params], half)[0],
+                                   params, half, denominator), 1e-8),
         _below("energy_constant", _classical_drift(params)[0], 1e-12),
     ]
     times = (0.8, 2.0)

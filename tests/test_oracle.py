@@ -155,8 +155,8 @@ class TestFourier:
         with pytest.raises(DomainError):
             idft_position(pos)
 
-    # The cached kernel must reproduce the uncached quadrature bit for bit,
-    # whatever order grids and signs arrive in.
+    # The kernel built in strips must reproduce the quadrature with a kernel
+    # built whole, bit for bit, whatever order grids and signs arrive in.
     def test_alternating_grids(self):
         spec = StateSpec(EXAMPLE3, 1)
         frames = [sample_frame(spec, POSITION, uniform_grid(-a, a, 1024), 0.4)
@@ -176,7 +176,7 @@ class TestFourier:
             assert np.all(back.amplitudes == uncached_transform(mom, x, 1j))
 
     def test_grid_mutated_in_place(self):
-        # The kernel cache is keyed on the grid values, not the array object.
+        # Each call builds the kernel from the grid values it is given.
         x = uniform_grid(-12.0, 12.0, 1024)
         pos = sample_frame(StateSpec(EXAMPLE3, 0), POSITION, x, 0.0)
         first = dft_momentum(pos).amplitudes.copy()
@@ -243,6 +243,25 @@ class TestSplitStep:
         for got, want in zip(batch, single):
             assert got.t == want.t
             assert np.all(got.amplitudes == want.amplitudes)
+
+    def test_equals_out_of_place_steps(self, presets):
+        # Two reused buffers give the bits of fresh arrays at every step.
+        x = uniform_grid(-12.0, 12.0, 1024)
+        starts = [sample_frame(StateSpec(cfg.params, cfg.n), POSITION, x, 0.0)
+                  for cfg in presets.values()]
+        steps, dt = 200, 1.0 / 200
+        k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=starts[0].dx)
+        half_potential = np.exp(-0.25j * dt * x * x)
+        kinetic = np.exp(-0.5j * dt * k * k)
+        psi = np.stack([f.amplitudes for f in starts])
+        for _ in range(steps):
+            psi = half_potential * psi
+            psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+            psi = half_potential * psi
+        got = split_step_propagate(starts, 1.0, steps)
+        for row, frame in zip(psi, got):
+            assert np.array_equal(row.view(np.uint64),
+                                  frame.amplitudes.view(np.uint64))
 
     def test_batch_rejects_bad_input(self):
         x = uniform_grid(-12.0, 12.0, 256)
