@@ -43,7 +43,7 @@ from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
 from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum_rows,
                      psi_rows, quadrature_moment_rows)
 from .pool import ordered_map
-from .states import (MOMENTUM, POSITION, StateSpec, check_grid, sample_frame,
+from .states import (MOMENTUM, POSITION, StateSpec, eval_momentum, eval_psi,
                      uniform_grid)
 from .verification import run_acceptance, scoped_checks
 
@@ -93,10 +93,11 @@ def _add_source_options(parser):
 
 def build_packet(spec, grid, t, representation):
     """CSV header and the value columns that follow the grid column of a frame."""
-    frame = sample_frame(spec, representation, grid, t)
-    header = ("x,density,re_psi,im_psi" if representation == POSITION
-              else "p,density,re_a,im_a")
-    return header, (frame.density(), frame.amplitudes.real, frame.amplitudes.imag)
+    if representation == POSITION:
+        header, amps = "x,density,re_psi,im_psi", eval_psi(spec, grid, t)
+    else:
+        header, amps = "p,density,re_a,im_a", eval_momentum(spec, grid, t)
+    return header, (np.abs(amps) ** 2, amps.real, amps.imag)
 
 
 def cmd_verify(args, config):
@@ -143,7 +144,6 @@ def _moment_rows(config, check=False):
         header += ",err_mean_x,err_mean_p,err_var_x,err_var_p"
         spec = StateSpec(config.params, config.n)
         grid = uniform_grid(config.grid.x_min, config.grid.x_max, config.grid.points)
-        check_grid(grid)
         # Rows <x>, <p>, <x^2>, <p^2>; the last two become the variances.
         quad = np.empty((4, t.size))
         for k in range(0, t.size, CHECK_FRAMES):
@@ -229,8 +229,11 @@ def cmd_evolve(args, config):
          or "wavefunction" in config.outputs),
         (MOMENTUM, "momentum_density" in config.outputs)) if wanted]
     spec = StateSpec(config.params, config.n)
+    # The checked grid and the moment table come before anything is
+    # removed, so a config they reject leaves an earlier run whole.
     grid = uniform_grid(config.grid.x_min, config.grid.x_max,
                         config.grid.points)
+    moments = _moment_rows(config) if "moments" in config.outputs else None
     texts = functools.partial(_frame_text, spec, grid, _column_text(grid))
     jobs = [(index, t, representation)
             for index, t in enumerate(config.time.times(), start=1)
@@ -254,9 +257,9 @@ def cmd_evolve(args, config):
                 digest = _write(written[-1], text)
                 manifest["frames"].append(
                     {"index": index, "t": t, "file": name, "sha256": digest})
-        if "moments" in config.outputs:
+        if moments is not None:
             written.append(out_dir / "moments.csv")
-            digest = _write(written[-1], _moment_rows(config))
+            digest = _write(written[-1], moments)
             manifest["moments_file"] = {"file": "moments.csv", "sha256": digest}
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         written.append(out_dir / "manifest.json")

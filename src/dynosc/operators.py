@@ -16,6 +16,11 @@ has the time-independent spectrum n + 1/2 on the family, while the
 Hamiltonian H = (p^2 + x^2)/2 is the special case alpha = delta = eps = 0,
 beta = 1.  Derivatives use the 4th-order stencils; report norms drop the
 boundary margin.
+
+The array core (`ladder`, `invariant`, `commutator`, `rayleigh`) acts along
+the last axis of an (N,) row or a (T, N) block, with the flowed parameters as
+scalars or (T, 1) columns; the `apply_*` functions, `invariant_estimate` and
+`commutator_check` are its one-frame calls.
 """
 
 import math
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flows import flow
-from .states import POSITION, handed_over
+from .states import POSITION
 from .stencils import diff1, diff2, interior, l2_norm
 
 ANNIHILATION = "annihilation"
@@ -74,70 +79,80 @@ def _require_position(frame):
         raise DomainError("operator expects a position-representation frame")
 
 
+def ladder(kind, st, x, psi, dx):
+    """Operator `kind` at the parameters of st (a FirstOrderOperator or a
+    flowed ParamState) along the last axis of psi on the grid x."""
+    shifted = -1j * diff1(psi, dx) - (2.0 * st.alpha * x + st.delta) * psi
+    if kind == SHIFTED_MOMENTUM:
+        return shifted
+    if kind == ANNIHILATION:
+        return ((st.beta * x + st.eps) * psi + 1j * shifted / st.beta) / math.sqrt(2.0)
+    return ((st.beta * x + st.eps) * psi - 1j * shifted / st.beta) / math.sqrt(2.0)
+
+
+def invariant(st, x, psi, dx):
+    """E(t) psi via the shifted-momentum operator applied twice."""
+    once = ladder(SHIFTED_MOMENTUM, st, x, psi, dx)
+    twice = ladder(SHIFTED_MOMENTUM, st, x, once, dx)
+    # float_power calls libm pow like the scalar `**`; `** 2` on an array
+    # squares and can differ by 1 ulp.
+    return 0.5 * (twice / np.float_power(st.beta, 2.0)
+                  + (st.beta * x + st.eps) ** 2 * psi)
+
+
+def commutator(st, x, psi, dx):
+    """(a a' - a' a) psi along the last axis of psi."""
+    lowered = ladder(ANNIHILATION, st, x, ladder(CREATION, st, x, psi, dx), dx)
+    raised = ladder(CREATION, st, x, ladder(ANNIHILATION, st, x, psi, dx), dx)
+    return lowered - raised
+
+
+def rayleigh(psi, opsi, dx):
+    """Re <psi, O psi> / <psi, psi> over the interior of each row."""
+    psi, opsi = interior(psi), interior(opsi)
+    num = np.trapezoid(np.conj(psi) * opsi, dx=dx)
+    den = np.trapezoid(np.abs(psi) ** 2, dx=dx)
+    return num.real / den.real
+
+
 def apply_hamiltonian(frame):
     """H psi = (-psi_xx + x^2 psi) / 2."""
     _require_position(frame)
     x, psi = frame.grid, frame.amplitudes
-    out = 0.5 * (-diff2(psi, frame.dx) + x * x * psi)
-    return frame.with_amplitudes(handed_over(out))
+    return frame.with_amplitudes(0.5 * (-diff2(psi, frame.dx) + x * x * psi))
 
 
 def apply_ladder(op, frame):
     """Apply a FirstOrderOperator to a sampled frame."""
     _require_position(frame)
-    x, psi = frame.grid, frame.amplitudes
-    shifted = -1j * diff1(psi, frame.dx) - (2.0 * op.alpha * x + op.delta) * psi
-    if op.kind == SHIFTED_MOMENTUM:
-        out = shifted
-    elif op.kind == ANNIHILATION:
-        out = ((op.beta * x + op.eps) * psi + 1j * shifted / op.beta) / math.sqrt(2.0)
-    else:
-        out = ((op.beta * x + op.eps) * psi - 1j * shifted / op.beta) / math.sqrt(2.0)
-    return frame.with_amplitudes(handed_over(out))
+    return frame.with_amplitudes(
+        ladder(op.kind, op, frame.grid, frame.amplitudes, frame.dx))
 
 
 def apply_invariant(spec, frame, t):
-    """E(t) psi via the shifted-momentum operator applied twice."""
+    """E(t) psi on a sampled frame."""
     _require_position(frame)
-    st = flow(spec.params, t)
-    mom = FirstOrderOperator(SHIFTED_MOMENTUM, st.alpha, st.beta, st.delta, st.eps)
-    twice = apply_ladder(mom, apply_ladder(mom, frame)).amplitudes
-    x = frame.grid
-    out = 0.5 * (twice / st.beta ** 2 + (st.beta * x + st.eps) ** 2 * frame.amplitudes)
-    return frame.with_amplitudes(handed_over(out))
+    return frame.with_amplitudes(
+        invariant(flow(spec.params, t), frame.grid, frame.amplitudes, frame.dx))
 
 
-def rayleigh_quotient(frame, transformed):
-    """Re <psi, O psi> / <psi, psi> over the interior."""
-    psi = interior(frame.amplitudes)
-    opsi = interior(transformed.amplitudes)
-    num = np.trapezoid(np.conj(psi) * opsi, dx=frame.dx)
-    den = np.trapezoid(np.abs(psi) ** 2, dx=frame.dx)
-    return float(num.real / den.real)
-
-
-def invariant_report(spec, frame, t):
-    """Rayleigh estimate of E(t) on a frame plus the eigen-residual norm."""
+def invariant_estimate(spec, frame, t):
+    """Rayleigh estimate of E(t) on a frame."""
     transformed = apply_invariant(spec, frame, t)
-    estimate = rayleigh_quotient(frame, transformed)
-    resid = interior(transformed.amplitudes - estimate * frame.amplitudes)
-    rel = l2_norm(resid, frame.dx) / l2_norm(interior(frame.amplitudes), frame.dx)
-    return OperatorReport(rel, estimate)
+    return float(rayleigh(frame.amplitudes, transformed.amplitudes, frame.dx))
 
 
 def commutator_check(t, params, test_frames):
     """Largest relative residual of (a a' - a' a) psi = psi over test frames."""
-    a = FirstOrderOperator.at_time(ANNIHILATION, params, t)
-    adag = FirstOrderOperator.at_time(CREATION, params, t)
+    st = flow(params, t)
     worst = 0.0
     estimate = math.nan
     for frame in test_frames:
-        lowered = apply_ladder(a, apply_ladder(adag, frame)).amplitudes
-        raised = apply_ladder(adag, apply_ladder(a, frame)).amplitudes
-        commuted = frame.with_amplitudes(handed_over(lowered - raised))
-        resid = interior(commuted.amplitudes - frame.amplitudes)
-        rel = l2_norm(resid, frame.dx) / l2_norm(interior(frame.amplitudes), frame.dx)
+        _require_position(frame)
+        psi, dx = frame.amplitudes, frame.dx
+        commuted = commutator(st, frame.grid, psi, dx)
+        rel = l2_norm(interior(commuted - psi), dx) / l2_norm(interior(psi), dx)
         if rel >= worst:
             worst = rel
-            estimate = rayleigh_quotient(frame, commuted)
+            estimate = float(rayleigh(psi, commuted, dx))
     return OperatorReport(worst, estimate)

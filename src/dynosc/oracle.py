@@ -23,7 +23,8 @@ and applies each strip to every row of the block, so a call holds one strip
 callers pass all of their rows in one call.  Every row goes through its own
 matrix-vector products, so a block gives the same bits as one call per frame.
 Callers evaluate long runs of times with `psi_rows`, in blocks of at most
-BLOCK_SAMPLES samples.
+BLOCK_SAMPLES samples.  `split_step_propagate` likewise maps an (N,) row or a
+(T, N) block of position amplitudes on a grid to an array of the same shape.
 """
 
 import math
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flows import flow
-from .states import MOMENTUM, POSITION, WaveFrame, eval_psi, handed_over
+from .states import MOMENTUM, POSITION, WaveFrame, check_grid, eval_psi
 from .stencils import diff2, interior, l2_norm
 
 MINUS_GAMMA = "minus_gamma"
@@ -209,7 +210,7 @@ def dft_momentum(frame):
     if frame.representation != POSITION:
         raise DomainError("dft_momentum expects a position-representation frame")
     amps = dft_momentum_rows(frame.grid, frame.amplitudes)
-    return WaveFrame(MOMENTUM, frame.t, frame.grid, handed_over(amps))
+    return WaveFrame(MOMENTUM, frame.t, frame.grid, amps)
 
 
 def idft_position(frame):
@@ -217,46 +218,41 @@ def idft_position(frame):
     if frame.representation != MOMENTUM:
         raise DomainError("idft_position expects a momentum-representation frame")
     amps = _quadrature_transform(frame.grid, frame.amplitudes, 1j)
-    return WaveFrame(POSITION, frame.t, frame.grid, handed_over(amps))
+    return WaveFrame(POSITION, frame.t, frame.grid, amps)
 
 
-def split_step_propagate(initial, t_final, steps):
+def split_step_propagate(grid, rows, t_final, steps):
     """Strang split-step evolution of i psi_t = (-psi_xx + x^2 psi)/2.
 
     Kinetic half via FFT, potential pointwise.  The step floor guards the
     O(dt^2) splitting error; the grid is treated as periodic, which is
     harmless for states that decay below roundoff at the boundary.
 
-    `initial` is one position frame, or a sequence of position frames on one
-    grid, which are stacked into rows and evolved together; the result has
-    the same form.  Each row goes through the same FFT arithmetic as a frame
-    on its own, so a batch is bit-identical to one call per frame.
+    `rows` is one (N,) position-amplitude row on grid or a (T, N) block of
+    them, evolved together; the result has the same shape.  Each row goes
+    through the same FFT arithmetic as a row on its own, so a block is
+    bit-identical to one call per row.
     """
-    single = isinstance(initial, WaveFrame)
-    frames = [initial] if single else list(initial)
-    if not frames:
-        raise DomainError("split_step_propagate needs at least one frame")
-    if any(f.representation != POSITION for f in frames):
-        raise DomainError("split_step_propagate expects position frames")
-    x = frames[0].grid
-    if any(not np.array_equal(f.grid, x) for f in frames[1:]):
-        raise DomainError("split_step_propagate expects frames on one grid")
+    x = np.asarray(grid, dtype=float)
+    check_grid(x)
+    psi = np.array(rows, dtype=complex, ndmin=2)
+    if psi.ndim != 2 or psi.shape[-1] != x.size:
+        raise DomainError("split_step_propagate expects (N,) or (T, N) "
+                          "amplitude rows on the grid")
     if not t_final > 0:
         raise DomainError("t_final must be positive")
     steps = int(steps)
     if steps < SPLIT_STEP_FLOOR * t_final:
         raise DomainError(
             f"steps={steps} below stability floor {SPLIT_STEP_FLOOR} * t_final")
-    n = x.size
     dt = t_final / steps
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=frames[0].dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=float(x[1] - x[0]))
     half_potential = np.exp(-0.25j * dt * x * x)
     kinetic = np.exp(-0.5j * dt * k * k)
     # Every operation reads one buffer and writes the other, with the
     # operands in the order of `psi = half_potential * psi` and
     # `psi = np.fft.ifft(kinetic * np.fft.fft(psi))`: an in-place
-    # `psi *= ...` changes bits.
-    psi = np.stack([f.amplitudes for f in frames])
+    # `psi *= ...` changes bits.  One row goes through as a block of one.
     spare = np.empty_like(psi)
     for _ in range(steps):
         np.multiply(half_potential, psi, out=spare)
@@ -265,9 +261,7 @@ def split_step_propagate(initial, t_final, steps):
         np.fft.ifft(spare, out=psi)
         np.multiply(half_potential, psi, out=spare)
         psi, spare = spare, psi
-    evolved = [WaveFrame(POSITION, f.t + t_final, x, row)
-               for f, row in zip(frames, psi)]
-    return evolved[0] if single else evolved
+    return psi[0] if np.ndim(rows) == 1 else psi
 
 
 def comoving_frame(spec, t, tau_convention):

@@ -44,30 +44,6 @@ class StateSpec:
         check_order(self.n)
 
 
-def _frozen(values, dtype):
-    """Read-only array of values that no caller can write through.
-
-    A read-only array that owns its data (another frame's, or one handed over
-    frozen) is kept; a caller's writable array or view is copied, so freezing
-    never reaches it.
-    """
-    out = np.asarray(values, dtype=dtype)
-    if out is values and (out.flags.writeable or not out.flags.owndata):
-        out = out.copy()
-    out.setflags(write=False)
-    return out
-
-
-def handed_over(values):
-    """A fresh array frozen, so that a WaveFrame keeps it without a copy.
-
-    Only for an array that the caller built and keeps no reference to.
-    """
-    out = np.asarray(values)
-    out.setflags(write=False)
-    return out
-
-
 def check_grid(grid):
     """Raise DomainError unless grid is a 1-D, strictly increasing, uniformly
     spaced float array of at least MIN_GRID_POINTS points."""
@@ -87,7 +63,8 @@ def check_grid(grid):
 
 @dataclass(frozen=True, eq=False)
 class WaveFrame:
-    """Complex amplitude samples on a uniform grid at one time."""
+    """Complex amplitude samples on a uniform grid at one time, held as
+    read-only copies of the arrays passed in."""
 
     representation: str
     t: float
@@ -98,15 +75,16 @@ class WaveFrame:
         if self.representation not in (POSITION, MOMENTUM):
             raise DomainError(
                 f"representation must be {POSITION!r} or {MOMENTUM!r}")
-        grid = _frozen(self.grid, float)
-        amps = _frozen(self.amplitudes, complex)
+        grid = np.array(self.grid, dtype=float)
+        amps = np.array(self.amplitudes, dtype=complex)
         check_grid(grid)
         if amps.shape != grid.shape:
             raise DomainError("amplitudes must match the grid point for point")
         if not np.isfinite(amps).all():
             raise DomainError("amplitudes must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "amplitudes", amps)
+        for name, values in (("grid", grid), ("amplitudes", amps)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def dx(self):
@@ -126,10 +104,13 @@ class WaveFrame:
 
 
 def uniform_grid(x_min, x_max, points):
-    """Uniform sampling grid including both endpoints."""
+    """Uniform sampling grid including both endpoints, checked: DomainError
+    also when float64 cannot space the points uniformly."""
     if not (x_min < x_max) or points < MIN_GRID_POINTS:
         raise DomainError(f"need x_min < x_max and at least {MIN_GRID_POINTS} points")
-    return np.linspace(float(x_min), float(x_max), int(points))
+    grid = np.linspace(float(x_min), float(x_max), int(points))
+    check_grid(grid)
+    return grid
 
 
 def _assemble(spec, x, t, with_lewis_phase):
@@ -166,7 +147,6 @@ def eval_momentum(spec, p, t):
 
 def sample_frame(spec, representation, grid, t):
     """Evaluate psi_n or a_n pointwise on a grid and tag the result."""
-    grid = np.asarray(grid, dtype=float)
     if representation == POSITION:
         amps = eval_psi(spec, grid, t)
     elif representation == MOMENTUM:
@@ -174,4 +154,4 @@ def sample_frame(spec, representation, grid, t):
     else:
         raise DomainError(
             f"representation must be {POSITION!r} or {MOMENTUM!r}")
-    return WaveFrame(representation, float(t), grid, handed_over(amps))
+    return WaveFrame(representation, float(t), grid, amps)

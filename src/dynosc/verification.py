@@ -12,6 +12,9 @@ sits well below the tolerances):
   * Operator checks: 8192 points on [-12, 12].
   * Fourier cross-checks: 1024 points on [-14, 14].
   * Propagation: 1024 points on [-12, 12], 4096 steps to t = 1.
+
+Every check runs on arrays, never on WaveFrames: a (T, N) block of samples
+per state, with the flowed parameters as (T, 1) columns.
 """
 
 import functools
@@ -24,14 +27,13 @@ from .config import PRESET_NAMES, preset_config
 from .flows import (BETA0_QUARTIC, BETA0_SQUARED, OscillatorParams,
                     classical_moments, flow,
                     is_minimum_uncertainty_family, momentum_params)
-from .operators import (ANNIHILATION, CREATION, FirstOrderOperator,
-                        apply_ladder, commutator_check, invariant_report)
+from .operators import (ANNIHILATION, CREATION, commutator, invariant,
+                        ladder, rayleigh)
 from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, comoving_residual,
                      dft_momentum_rows, psi_rows, quadrature_moment_rows,
                      schrodinger_residual, split_step_propagate)
 from .pool import ordered_map
-from .states import (POSITION, StateSpec, WaveFrame, eval_psi,
-                     eval_psi_invariant_frame, handed_over, sample_frame,
+from .states import (StateSpec, eval_psi, eval_psi_invariant_frame,
                      uniform_grid)
 from .stencils import interior, l2_norm
 
@@ -130,13 +132,13 @@ def family_exactness_refined():
 def _eigenvalue_gap(params, times):
     """Worst |invariant eigenvalue estimate - (n + 1/2)| over n <= 6."""
     grid = uniform_grid(*OPERATOR_GRID)
+    dx = float(grid[1] - grid[0])
+    st = flow(params, np.asarray(times)[:, None])
     worst = 0.0
     for n in range(7):
-        spec = StateSpec(params, n)
-        for t in times:
-            frame = sample_frame(spec, POSITION, grid, t)
-            report = invariant_report(spec, frame, t)
-            worst = max(worst, abs(report.eigenvalue_estimate - (n + 0.5)))
+        psi = eval_psi(StateSpec(params, n), grid, times)
+        estimates = rayleigh(psi, invariant(st, grid, psi, dx), dx)
+        worst = max(worst, float(np.max(np.abs(estimates - (n + 0.5)))))
     return worst
 
 
@@ -148,43 +150,41 @@ def invariant_spectrum():
 
 # -- criterion 3: ladder algebra ---------------------------------------------
 
-def _gaussian_test_frames():
+def _commutator_residual(params, times):
+    """Worst relative residual of (a a' - a' a) psi = psi over three
+    Gaussians, a (3, N) block, at each of the times."""
     x = uniform_grid(-9.0, 9.0, 1024)
-    shapes = [
+    dx = float(x[1] - x[0])
+    psi = np.stack([
         np.exp(-0.5 * x * x),
         np.exp(-(x - 0.8) ** 2 / 3.0 + 0.4j * x),
         (1.0 + 0.2 * x) * np.exp(-(x + 1.0) ** 2 / 2.5 - 0.3j * x),
-    ]
-    return [WaveFrame(POSITION, 0.0, x, s) for s in shapes]
-
-
-def _commutator_residual(params, times):
-    frames = _gaussian_test_frames()
-    return max(commutator_check(t, params, frames).residual_l2 for t in times)
+    ])
+    commuted = commutator(flow(params, np.asarray(times)[:, None, None]),
+                          x, psi, dx)
+    return float(np.max(l2_norm(interior(commuted - psi), dx)
+                        / l2_norm(interior(psi), dx)))
 
 
 def ladder_algebra():
     grid = uniform_grid(*OPERATOR_GRID)
     dx = float(grid[1] - grid[0])
+    times = np.array(EIGHT_TIMES[::2])
     results = []
     for name, cfg in _presets().items():
+        st = flow(cfg.params, times[:, None])
+        states = [eval_psi_invariant_frame(StateSpec(cfg.params, n), grid, times)
+                  for n in range(7)]
+        norms = [l2_norm(interior(s), dx) for s in states]
         down = up = 0.0
-        for t in EIGHT_TIMES[::2]:
-            lower = FirstOrderOperator.at_time(ANNIHILATION, cfg.params, t)
-            raise_ = FirstOrderOperator.at_time(CREATION, cfg.params, t)
-            frames = [WaveFrame(POSITION, t, grid, handed_over(
-                eval_psi_invariant_frame(StateSpec(cfg.params, n), grid, t)))
-                for n in range(7)]
-            states = [f.amplitudes for f in frames]
-            norms = [l2_norm(interior(s), dx) for s in states]
-            for n in range(1, 7):
-                got = apply_ladder(lower, frames[n]).amplitudes
-                gap = l2_norm(interior(got - math.sqrt(n) * states[n - 1]), dx)
-                down = max(down, gap / norms[n])
-            for n in range(0, 6):
-                got = apply_ladder(raise_, frames[n]).amplitudes
-                gap = l2_norm(interior(got - math.sqrt(n + 1) * states[n + 1]), dx)
-                up = max(up, gap / norms[n])
+        for n in range(1, 7):
+            got = ladder(ANNIHILATION, st, grid, states[n], dx)
+            gap = l2_norm(interior(got - math.sqrt(n) * states[n - 1]), dx)
+            down = max(down, float(np.max(gap / norms[n])))
+        for n in range(0, 6):
+            got = ladder(CREATION, st, grid, states[n], dx)
+            gap = l2_norm(interior(got - math.sqrt(n + 1) * states[n + 1]), dx)
+            up = max(up, float(np.max(gap / norms[n])))
         results.append(_below(f"ladder_lowering[{name}]", down, 1e-6))
         results.append(_below(f"ladder_raising[{name}]", up, 1e-6))
     worst = max(_commutator_residual(cfg.params, (0.0, 1.0, 2.5))
@@ -375,10 +375,9 @@ def _split_step_gaps(specs):
     All start states are propagated in one batched call.
     """
     grid = uniform_grid(*PROPAGATION_GRID)
-    starts = [sample_frame(spec, POSITION, grid, 0.0) for spec in specs]
-    evolved = split_step_propagate(starts, 1.0, 4096)
-    return [l2_norm(out.amplitudes
-                    - sample_frame(spec, POSITION, grid, 1.0).amplitudes, out.dx)
+    starts = np.stack([eval_psi(spec, grid, 0.0) for spec in specs])
+    evolved = split_step_propagate(grid, starts, 1.0, steps=4096)
+    return [l2_norm(out - eval_psi(spec, grid, 1.0), float(grid[1] - grid[0]))
             for spec, out in zip(specs, evolved)]
 
 
@@ -533,7 +532,8 @@ def _scoped_measurements(config, denominator, tau_convention):
                         worst[MINUS_TWO_GAMMA], 1e-6),
                  _one_convention(worst)[1]]
     op_grid = uniform_grid(*OPERATOR_GRID)
-    norm_sq = sample_frame(spec, POSITION, op_grid, 1.1).norm() ** 2
+    norm_sq = l2_norm(eval_psi(spec, op_grid, 1.1),
+                      float(op_grid[1] - op_grid[0])) ** 2
     expected = 1.0 / (params.mu0 * abs(params.beta0))
     after.append(_below("normalization[1/(mu0 |beta0|)]",
                         abs(norm_sq - expected), 1e-10))

@@ -316,8 +316,8 @@ class TestEvolveCommand:
         assert main(["evolve", "--out", str(tmp_path / "x")]) == 2
 
     def test_failed_run_leaves_no_files(self, tmp_path, capsys):
-        # The frames are written before the moment table fails: its
-        # variances cancel to zero.
+        # The moment table fails, its variances cancel to zero, before any
+        # frame is written.
         path = write_config(tmp_path, params={"alpha0": 1e9},
                             outputs=["position_density", "moments"])
         out = tmp_path / "out"
@@ -325,6 +325,25 @@ class TestEvolveCommand:
         assert "config error" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"params": {"alpha0": 1e9}}, {"params": {"delta0": 1e200}},
+        {"grid": {"x_min": -12.0, "x_max": -11.999999999999}}],
+        ids=["alpha0=1e9", "delta0=1e200", "grid"])
+    def test_rejected_config_keeps_the_earlier_run(self, tmp_path, capsys,
+                                                    overrides):
+        out = tmp_path / "out"
+        example1 = {"mu0": 1.5, "beta0": 2.0 / 3.0, "delta0": 1.0}
+        good = write_config(tmp_path, params=example1,
+                            outputs=["position_density", "moments"])
+        assert main(["evolve", "--config", str(good), "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in earlier and "moments.csv" in earlier
+        bad = write_config(tmp_path, outputs=["position_density", "moments"],
+                           **overrides)
+        assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
     def test_failed_write_leaves_no_files(self, tmp_path, capsys):
         # An earlier one-frame run leaves its files and manifest; a directory
@@ -778,20 +797,80 @@ class TestVerifyCommand:
         assert code == 0
 
 
+PRESETS = ("schrodinger", "example1", "example2", "example3", "minuncert")
+
+
+def pinned_verify_lines():
+    """Every line that bare `verify` prints, with the measured value dropped:
+    12 headers, 94 rows and the summary, as pinned from the output of
+    commit 63039d4."""
+    def rows(names, bound, fail=()):
+        return [f"[{'FAIL' if name in fail else 'PASS'}] {name}: requires {bound}"
+                for name in names]
+
+    randoms = [f"random{i}" for i in range(6)]
+    residuals = [f"pde_residual[{p}, n={n}]" for p in PRESETS for n in (0, 1, 2, 5)]
+    return [
+        "== 1 family exactness ==",
+        *rows(residuals, "< 1e-06",
+              fail=[f"pde_residual[{p}, n=5]" for p in PRESETS[1:]]),
+        "== 1s family exactness at refined resolution (supplementary) ==",
+        *rows([f"pde_residual_refined[{p}, n=5]" for p in PRESETS], "< 1e-06"),
+        "== 2 invariant spectrum ==",
+        *rows([f"invariant_eigenvalue[{p}]" for p in PRESETS], "< 1e-07"),
+        "== 3 ladder algebra ==",
+        *rows([f"ladder_{kind}[{p}]" for p in PRESETS
+               for kind in ("lowering", "raising")], "< 1e-06"),
+        *rows(["ladder_commutator[gaussian frames]"], "< 1e-07"),
+        "== 4 textbook limit ==",
+        *rows(["textbook_pointwise[schrodinger, n<=6]",
+               "textbook_variances_closed_form"], "< 1e-12"),
+        *rows(["textbook_variances_quadrature"], "< 1e-08"),
+        "== 5 uncertainty structure ==",
+        *rows([f"uncertainty_floor[{p}]" for p in [*PRESETS, *randoms]]
+              + ["minimum_uncertainty_product[minuncert, t=pi/4]"], "< 1e-09"),
+        *rows(["minimum_uncertainty_condition[minuncert]"], "is true"),
+        "== 6 momentum representation ==",
+        *rows([f"momentum_map[{p}, n<=4]" for p in PRESETS], "< 1e-08"),
+        *rows(["momentum_map_negative_control[example3, beta0sq]"], "> 0.01"),
+        "== 7 animation reproduction ==",
+        *rows(["example1_center_tracks_sin_t", "example1_width_squared"],
+              "< 1e-12"),
+        *rows(["example1_frame_peak_offset"], "< 0.0234604"),
+        *rows(["example3_momentum_variance"], "< 1e-10"),
+        "== 8 classical layer ==",
+        *(line for p in [*PRESETS, *randoms[:3]]
+          for line in rows([f"energy_constant[{p}]"], "< 1e-12")
+          + rows([f"ehrenfest[{p}]"], "< 1e-08")),
+        "== 9 independent propagation ==",
+        *rows([f"split_step_vs_closed_form[{p}]" for p in PRESETS], "< 1e-05"),
+        "== 10 comoving adjudication ==",
+        *rows([f"comoving_residual[{c}, all presets]"
+               for c in ("minus_two_gamma", "minus_gamma")], "reported"),
+        *rows(["comoving_exactly_one_convention"],
+              "exactly 1 passing convention"),
+        *rows(["comoving_winner[minus_two_gamma]"], "< 1e-06"),
+        "== 11 convergence orders ==",
+        *rows(["spatial_refinement_ratio[4th order]"], "in [12, 20]"),
+        *rows(["temporal_refinement_ratio[2nd order]"], "in [3.5, 4.5]"),
+        "4 CHECK(S) FAILED",
+    ]
+
+
 class TestFullBattery:
     @pytest.mark.slow
     def test_bare_verify_reports_known_residual_floor(self, capsys):
         # The full battery is honest about the four pinned-resolution n=5
         # residual cases: they FAIL, the refined-resolution companions PASS,
-        # everything else passes, and the command exits 1.
+        # everything else passes, and the command exits 1.  Every line name
+        # and bound stays as pinned.
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
-        failing = [l for l in out.splitlines() if l.startswith("[FAIL]")]
-        assert len(failing) == 4
-        assert all("pde_residual[" in l and "n=5" in l for l in failing)
-        assert "[PASS] pde_residual_refined[example1, n=5]" in out
-        assert "[PASS] comoving_exactly_one_convention" in out
-        assert "4 CHECK(S) FAILED" in out
+        lines = [re.sub(r" measured \S+,", "", line) for line in out.splitlines()]
+        pinned = pinned_verify_lines()
+        assert sum(line.startswith("==") for line in pinned) == 12
+        assert sum(line.startswith("[") for line in pinned) == 94
+        assert lines == pinned
 
 
 class TestUnrepresentableData:

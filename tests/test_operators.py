@@ -10,8 +10,8 @@ from dynosc import (ANNIHILATION, CREATION, DomainError, FirstOrderOperator,
                     apply_ladder, commutator_check, eval_psi,
                     eval_psi_invariant_frame, flow, hermite_function,
                     sample_frame, uniform_grid)
-from dynosc.operators import invariant_report
-from dynosc.stencils import interior, l2_norm
+from dynosc.operators import invariant, invariant_estimate, ladder, rayleigh
+from dynosc.stencils import diff1, diff2, interior, l2_norm
 
 SCHRODINGER = OscillatorParams(mu0=1.0, beta0=1.0)
 EXAMPLE1 = OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0)
@@ -150,7 +150,7 @@ class TestInvariant:
         estimates = []
         for t in (0.4, 2.9):
             frame = sample_frame(spec, POSITION, GRID, t)
-            estimates.append(invariant_report(spec, frame, t).eigenvalue_estimate)
+            estimates.append(invariant_estimate(spec, frame, t))
         assert estimates[0] == pytest.approx(estimates[1], abs=1e-8)
 
     @pytest.mark.parametrize("params", [SCHRODINGER, EXAMPLE1, MINUNCERT])
@@ -160,9 +160,28 @@ class TestInvariant:
             for t in (0.0, math.pi / 2.0):
                 frame = sample_frame(spec, POSITION,
                                      uniform_grid(-12.0, 12.0, 8192), t)
-                report = invariant_report(spec, frame, t)
-                assert report.eigenvalue_estimate == pytest.approx(n + 0.5,
-                                                                   abs=1e-7)
+                estimate = invariant_estimate(spec, frame, t)
+                assert estimate == pytest.approx(n + 0.5, abs=1e-7)
+
+    @pytest.mark.parametrize("params", [EXAMPLE1, MINUNCERT])
+    def test_block_equals_frame_calls(self, params):
+        # Parameters as (T, 1) columns give the bits of one frame at a time.
+        spec = StateSpec(params, 3)
+        times = np.array([0.0, 0.4, 2.9])
+        st = flow(params, times[:, None])
+        block = eval_psi(spec, GRID, times)
+        applied = invariant(st, GRID, block, DX)
+        lowered = ladder(ANNIHILATION, st, GRID, block, DX)
+        estimates = rayleigh(block, applied, DX)
+        for k, t in enumerate(times):
+            frame = sample_frame(spec, POSITION, GRID, t)
+            lower = FirstOrderOperator.at_time(ANNIHILATION, params, t)
+            for got, want in (
+                    (applied[k], apply_invariant(spec, frame, t).amplitudes),
+                    (lowered[k], apply_ladder(lower, frame).amplitudes)):
+                assert np.array_equal(interior(got).view(np.uint64),
+                                      interior(want).view(np.uint64))
+            assert estimates[k] == invariant_estimate(spec, frame, t)
 
     def test_weak_form_invariance_over_time(self):
         # <psi, E psi> on the evolving closed form stays n + 1/2 throughout.
@@ -170,8 +189,7 @@ class TestInvariant:
         grid = uniform_grid(-12.0, 12.0, 8192)
         for t in np.linspace(0.0, 2.0 * math.pi, 16):
             frame = sample_frame(spec, POSITION, grid, t)
-            report = invariant_report(spec, frame, t)
-            assert abs(report.eigenvalue_estimate - 3.5) < 1e-7
+            assert abs(invariant_estimate(spec, frame, t) - 3.5) < 1e-7
 
 
 class TestCommutator:
@@ -196,7 +214,18 @@ class TestStencilOrder:
         for points in (2048, 4096):
             frame = sample_frame(spec, POSITION,
                                  uniform_grid(-12.0, 12.0, points), t)
-            residuals[points] = abs(
-                invariant_report(spec, frame, t).eigenvalue_estimate - 3.5)
+            residuals[points] = abs(invariant_estimate(spec, frame, t) - 3.5)
         ratio = residuals[2048] / residuals[4096]
         assert 12.0 <= ratio <= 20.0
+
+    @pytest.mark.parametrize("diff", [diff1, diff2])
+    def test_block_rows_equal_row_calls(self, diff):
+        # Bit for bit on the interior; the one-sided edge samples of a block
+        # come from matrix-vector products and lie inside the margin.
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(4, 3, 512, 2)).view(complex)[..., 0]
+        got = interior(diff(block, DX))
+        for index in np.ndindex(block.shape[:-1]):
+            want = interior(diff(block[index], DX))
+            assert np.array_equal(got[index].view(np.uint64),
+                                  want.view(np.uint64))

@@ -202,88 +202,85 @@ class TestSplitStep:
     def test_ground_state_full_period(self):
         x = uniform_grid(-12.0, 12.0, 1024)
         phi0 = hermite_function(0, x)
-        frame = WaveFrame(POSITION, 0.0, x, phi0)
-        out = split_step_propagate(frame, 2.0 * math.pi, 4096)
-        assert l2_norm(out.amplitudes - (-phi0), out.dx) < 1e-6
-        assert out.t == pytest.approx(2.0 * math.pi)
+        out = split_step_propagate(x, phi0, 2.0 * math.pi, 4096)
+        assert out.shape == x.shape
+        assert l2_norm(out - (-phi0), x[1] - x[0]) < 1e-6
 
     @pytest.mark.parametrize("params,n", [(EXAMPLE1, 0), (EXAMPLE3, 0),
                                           (MINUNCERT, 1)])
     def test_matches_closed_form(self, params, n):
         x = uniform_grid(-12.0, 12.0, 1024)
         spec = StateSpec(params, n)
-        start = sample_frame(spec, POSITION, x, 0.0)
-        out = split_step_propagate(start, 1.0, 4096)
+        out = split_step_propagate(x, eval_psi(spec, x, 0.0), 1.0, 4096)
         want = eval_psi(spec, x, 1.0)
-        assert l2_norm(out.amplitudes - want, out.dx) < 1e-5
+        assert l2_norm(out - want, x[1] - x[0]) < 1e-5
 
     def test_zero_frame_stays_zero(self):
         x = uniform_grid(-12.0, 12.0, 256)
-        frame = WaveFrame(POSITION, 0.0, x, np.zeros_like(x, dtype=complex))
-        out = split_step_propagate(frame, 1.0, 128)
-        assert np.all(out.amplitudes == 0.0)
+        out = split_step_propagate(x, np.zeros_like(x, dtype=complex), 1.0, 128)
+        assert np.all(out == 0.0)
 
     def test_step_floor(self):
         x = uniform_grid(-12.0, 12.0, 256)
-        frame = sample_frame(StateSpec(SCHRODINGER, 0), POSITION, x, 0.0)
+        row = eval_psi(StateSpec(SCHRODINGER, 0), x, 0.0)
         with pytest.raises(DomainError):
-            split_step_propagate(frame, 2.0, 150)
+            split_step_propagate(x, row, 2.0, 150)
         with pytest.raises(DomainError):
-            split_step_propagate(frame, -1.0, 4096)
+            split_step_propagate(x, row, -1.0, 4096)
 
     def test_batch_equals_single_frame_calls(self, presets):
         x = uniform_grid(-12.0, 12.0, 1024)
-        starts = [sample_frame(StateSpec(cfg.params, cfg.n), POSITION, x,
-                               0.1 * i)
-                  for i, cfg in enumerate(presets.values())]
-        batch = split_step_propagate(starts, 1.0, 512)
-        single = [split_step_propagate(start, 1.0, 512) for start in starts]
-        assert isinstance(single[0], WaveFrame)
-        assert len(batch) == len(starts)
-        for got, want in zip(batch, single):
-            assert got.t == want.t
-            assert np.all(got.amplitudes == want.amplitudes)
+        starts = np.stack([eval_psi(StateSpec(cfg.params, cfg.n), x, 0.1 * i)
+                           for i, cfg in enumerate(presets.values())])
+        batch = split_step_propagate(x, starts, 1.0, 512)
+        assert batch.shape == starts.shape
+        for got, start in zip(batch, starts):
+            want = split_step_propagate(x, start, 1.0, 512)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_equals_out_of_place_steps(self, presets):
         # Two reused buffers give the bits of fresh arrays at every step.
         x = uniform_grid(-12.0, 12.0, 1024)
-        starts = [sample_frame(StateSpec(cfg.params, cfg.n), POSITION, x, 0.0)
-                  for cfg in presets.values()]
+        starts = np.stack([eval_psi(StateSpec(cfg.params, cfg.n), x, 0.0)
+                           for cfg in presets.values()])
         steps, dt = 200, 1.0 / 200
-        k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=starts[0].dx)
+        k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=float(x[1] - x[0]))
         half_potential = np.exp(-0.25j * dt * x * x)
         kinetic = np.exp(-0.5j * dt * k * k)
-        psi = np.stack([f.amplitudes for f in starts])
+        psi = starts
         for _ in range(steps):
             psi = half_potential * psi
             psi = np.fft.ifft(kinetic * np.fft.fft(psi))
             psi = half_potential * psi
-        got = split_step_propagate(starts, 1.0, steps)
-        for row, frame in zip(psi, got):
-            assert np.array_equal(row.view(np.uint64),
-                                  frame.amplitudes.view(np.uint64))
+        got = split_step_propagate(x, starts, 1.0, steps)
+        assert np.array_equal(psi.view(np.uint64), got.view(np.uint64))
 
-    def test_batch_rejects_bad_input(self):
+    def test_leaves_its_input_alone(self):
         x = uniform_grid(-12.0, 12.0, 256)
-        spec = StateSpec(EXAMPLE1, 0)
-        pos = sample_frame(spec, POSITION, x, 0.0)
-        other = sample_frame(spec, POSITION, uniform_grid(-10.0, 10.0, 256), 0.0)
-        mom = sample_frame(spec, MOMENTUM, x, 0.0)
-        for frames in ([], [pos, other], [pos, mom], mom):
-            with pytest.raises(DomainError):
-                split_step_propagate(frames, 1.0, 128)
+        start = eval_psi(StateSpec(EXAMPLE1, 0), x, 0.0)
+        kept = start.copy()
+        split_step_propagate(x, start, 1.0, 128)
+        assert np.array_equal(start.view(np.uint64), kept.view(np.uint64))
+
+    def test_rejects_rows_off_the_grid(self):
+        x = uniform_grid(-12.0, 12.0, 256)
+        for rows in ([], np.zeros(255, dtype=complex),
+                     np.zeros((2, 257), dtype=complex),
+                     np.zeros((2, 2, 256), dtype=complex), 1.0):
+            with pytest.raises(DomainError, match="amplitude rows"):
+                split_step_propagate(x, rows, 1.0, 128)
 
     def test_criterion_makes_one_batched_call(self, monkeypatch):
         from dynosc import verification
         calls = []
 
-        def counting(initial, t_final, steps):
-            calls.append(len(initial))
-            return split_step_propagate(initial, t_final, steps)
+        def counting(grid, rows, t_final, steps):
+            calls.append(rows.shape)
+            return split_step_propagate(grid, rows, t_final, steps)
 
         monkeypatch.setattr(verification, "split_step_propagate", counting)
         rows = verification.independent_propagation()
-        assert calls == [5]
+        assert calls == [(5, 1024)]
         assert len(rows) == 5 and all(row.passed for row in rows)
 
 
@@ -355,8 +352,7 @@ class TestOracleTriangle:
         x = uniform_grid(-12.0, 12.0, 1024)
         for params, n in ((EXAMPLE1, 1), (MINUNCERT, 0)):
             spec = StateSpec(params, n)
-            start = sample_frame(spec, POSITION, x, 0.0)
-            evolved = split_step_propagate(start, 1.0, 4096)
+            evolved = split_step_propagate(x, eval_psi(spec, x, 0.0), 1.0, 4096)
             closed = eval_psi(spec, x, 1.0)
-            assert l2_norm(evolved.amplitudes - closed, evolved.dx) < 1e-5
+            assert l2_norm(evolved - closed, x[1] - x[0]) < 1e-5
             assert schrodinger_residual(spec, GRID, 1.0, 1e-4).l2_relative < 1e-6

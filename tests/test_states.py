@@ -1,17 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dynosc import (ANNIHILATION, DomainError, FirstOrderOperator, MOMENTUM,
-                    OscillatorParams, POSITION, StateSpec, WaveFrame,
-                    apply_hamiltonian, apply_invariant, apply_ladder,
-                    classical_moments, commutator_check, dft_momentum,
+from dynosc import (DomainError, MOMENTUM, OscillatorParams, POSITION,
+                    StateSpec, WaveFrame, classical_moments, dft_momentum,
                     eval_momentum, eval_psi, eval_psi_invariant_frame, flow,
-                    hermite, hermite_function, idft_position,
-                    quadrature_moment, sample_frame, uniform_grid)
-from dynosc import states
+                    hermite, hermite_function, quadrature_moment,
+                    sample_frame, uniform_grid)
+from dynosc import pool, verification
+from dynosc.cli import main
+from dynosc.config import preset_config
 
 SCHRODINGER = OscillatorParams(mu0=1.0, beta0=1.0)
 EXAMPLE1 = OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0)
@@ -249,30 +250,36 @@ class TestWaveFrame:
         assert np.all(frame.amplitudes == amps_before)
         assert np.all(derived.amplitudes == 2.0 * amps_before)
 
-    def test_fresh_outputs_are_kept_not_copied(self, monkeypatch):
-        # Operators and transforms hand their fresh amplitudes over frozen,
-        # so the frame keeps them; only caller arrays need a copy.
-        frame = sample_frame(StateSpec(MINUNCERT, 2), POSITION, X, 0.7)
-        copies = []
-        frozen = states._frozen
+    def test_workload_paths_build_no_frames(self, tmp_path, monkeypatch,
+                                            capsys):
+        # verify, evolve and moments run on arrays; frames are only the
+        # public one-frame calls.  One core, so every job runs here.
+        built = []
+        init = WaveFrame.__post_init__
 
-        def counting(values, dtype):
-            out = frozen(values, dtype)
-            if out is not values:
-                copies.append(values)
-            return out
+        def counting(frame):
+            built.append(frame)
+            init(frame)
 
-        monkeypatch.setattr(states, "_frozen", counting)
-        lowered = apply_ladder(
-            FirstOrderOperator.at_time(ANNIHILATION, MINUNCERT, 0.7), frame)
-        outputs = [lowered, apply_hamiltonian(frame),
-                   apply_invariant(StateSpec(MINUNCERT, 2), frame, 0.7),
-                   dft_momentum(frame)]
-        outputs.append(idft_position(outputs[-1]))
-        commutator_check(0.7, MINUNCERT, [frame])
-        assert len(copies) == 0
-        assert all(out.amplitudes.flags.owndata for out in outputs)
-        assert not any(out.amplitudes.flags.writeable for out in outputs)
+        monkeypatch.setattr(WaveFrame, "__post_init__", counting)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+        verification.invariant_spectrum()
+        verification.ladder_algebra()
+        verification.independent_propagation()
+        # Exit 1: its pinned-resolution n = 5 residual is a known red.
+        assert main(["verify", "--preset", "example1"]) in (0, 1)
+        raw = preset_config("example1").to_dict()
+        raw["time"]["frames"] = 3
+        raw["outputs"] = ["position_density", "momentum_density", "moments"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["moments", "--config", str(path), "--check"]) == 0
+        capsys.readouterr()
+        assert built == []
+        sample_frame(StateSpec(SCHRODINGER, 0), POSITION, X, 0.0)
+        assert len(built) == 1
 
     def test_rejects_mismatched_amplitudes(self):
         with pytest.raises(DomainError):
