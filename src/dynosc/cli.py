@@ -11,12 +11,19 @@ error, 3 I/O error.  Frame CSVs carry the header x,density,re_psi,im_psi
 shortest round-trip decimals, so identical configs produce byte-identical
 output.  Each evolve run writes a manifest.json listing every written file
 with its sha256.  evolve reuses an output directory only if it is empty or
-holds a readable manifest.json (exit 3 otherwise), and then first removes
-the files that manifest lists under evolve's own file names.
+holds a readable manifest.json (exit 3 otherwise), and once its own frames
+are written it removes the files that manifest lists under evolve's own
+file names.
 
-verify and evolve run on every usable core (`pool.ordered_map`); the parent
-alone prints, hashes and writes, so the bytes do not depend on the number of
-workers, and a serial run is `taskset -c 0`.  verify sends its criteria in a
+verify and evolve run on every usable core (`pool.ordered_map`), and a
+serial run is `taskset -c 0`.  verify's parent alone prints.  An evolve job
+is one representation over a block of FRAME_BLOCK frames: the worker
+evaluates the block, formats each frame (`csvtext`, the grid column
+formatted once per run), writes it to NAME.csv.tmp and returns its sha256.
+Only when every job has succeeded does the parent remove the earlier run's
+files, rename the frames in order and write moments.csv and manifest.json,
+so a failed run leaves the earlier one whole and the bytes do not depend on
+the number of workers.  verify sends its criteria in a
 measured order (`verification.JOB_ORDER`): OpenBLAS's helper threads spin
 after each matrix-vector product of the quadrature DFT and take the other
 worker's core, so the criterion with the most DFT rows goes last.
@@ -53,13 +60,14 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 # Least work, frame files x grid points, for which evolve starts a worker
-# pool.  Starting and stopping the pool costs ~15-20 ms on 2 cores.  Measured
-# in-process on 64-1,024-point grids, the pool loses ~15-20 ms at 4,096,
-# ties at 8,192 and wins from 12,288-16,384 (64 points x 192 files
-# 164 -> 133 ms, 128 x 128 174 -> 139 ms).
+# pool.  Measured in-process with jobs of FRAME_BLOCK frames on 2 cores
+# (medians of 21, serial -> pooled): the pool loses at 8,192 (64 points x
+# 128 files 64 -> 98 ms), ties or wins a little at 16,384 (1,024 x 16
+# 49 -> 47 ms, 64 x 256 90 -> 83 ms) and wins from 32,768 (1,024 x 32
+# 70 -> 60 ms, 1,024 x 64 204 -> 148 ms).
 POOL_MIN_WORK = 12288
-# Frame files per task sent to a worker.
-POOL_CHUNK = 4
+# Frames per evolve job: one representation, evaluated as one (T, N) block.
+FRAME_BLOCK = 8
 
 # Frames that `moments --check` transforms in one call.  Each call builds the
 # whole quadrature kernel, strip by strip (~35 ms at 1,024 points, seconds at
@@ -91,12 +99,13 @@ def _add_source_options(parser):
                         help="built-in run configuration")
 
 
-def build_packet(spec, grid, t, representation):
-    """CSV header and the value columns that follow the grid column of a frame."""
+def build_packet(spec, grid, times, representation):
+    """CSV header and the (T, N) value columns that follow the grid column
+    of the frames at each of times."""
     if representation == POSITION:
-        header, amps = "x,density,re_psi,im_psi", eval_psi(spec, grid, t)
+        header, amps = "x,density,re_psi,im_psi", eval_psi(spec, grid, times)
     else:
-        header, amps = "p,density,re_a,im_a", eval_momentum(spec, grid, t)
+        header, amps = "p,density,re_a,im_a", eval_momentum(spec, grid, times)
     return header, (np.abs(amps) ** 2, amps.real, amps.imag)
 
 
@@ -117,23 +126,10 @@ def cmd_verify(args, config):
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def _column_text(values):
-    """Shortest round-trip decimal of each value, via Python floats (the
-    repr of a NumPy 2 scalar reads `np.float64(...)`)."""
-    return list(map(repr, values.tolist()))
-
-
-def _csv(header, texts):
-    """CSV text from a header and columns already formatted as strings."""
-    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
-
-
-def _frame_rows(header, grid_text, columns):
-    """One frame CSV; grid_text is the grid column, formatted once per run."""
-    return _csv(header, [grid_text, *map(_column_text, columns)])
-
-
 def _moment_rows(config, check=False):
+    # csvtext is imported only where CSVs are written: with no bytecode
+    # cache (PYTHONDONTWRITEBYTECODE) compiling it costs every process ~4 ms.
+    from .csvtext import csv_bytes
     header = "t,mean_x,mean_p,var_x,var_p,product,energy"
     times = config.time.times()
     m = classical_moments(config.params, config.n, times)
@@ -156,7 +152,7 @@ def _moment_rows(config, check=False):
         quad[2:] -= quad[:2] * quad[:2]
         columns += [np.abs(q - c) / np.maximum(1.0, np.abs(c))
                     for q, c in zip(quad, checked)]
-    return _csv(header, map(_column_text, columns))
+    return csv_bytes(header, columns).decode("ascii")
 
 
 def cmd_moments(args, config):
@@ -169,22 +165,31 @@ def _tmp_path(path):
 
 
 def _replace(path, data):
-    """Write data to path through path.tmp, so path is never half-written."""
-    _tmp_path(path).write_bytes(data)
+    """Write data to path through path.tmp, so path is never half-written;
+    its sha256."""
+    digest = _write(_tmp_path(path), data)
     os.replace(_tmp_path(path), path)
+    return digest
 
 
-def _write(path, text):
-    data = text.encode("utf-8")
-    _replace(path, data)
+def _write(path, data):
+    """Write data to path; its sha256."""
+    path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
 
 
-def _frame_text(spec, grid, grid_text, job):
-    """CSV text of job (index, t, representation); grid_text is the grid column."""
-    _, t, representation = job
-    header, columns = build_packet(spec, grid, t, representation)
-    return _frame_rows(header, grid_text, columns)
+def _frame_name(representation, index):
+    return f"{representation}_{index:04d}.csv"
+
+
+def _frame_files(spec, grid, table, out_dir, job):
+    """Write the frames of job (representation, first index, times) to
+    their .tmp files; their sha256s.  table formats them (`CsvText`)."""
+    representation, first, times = job
+    header, columns = build_packet(spec, grid, np.array(times), representation)
+    return [_write(_tmp_path(out_dir / _frame_name(representation, first + k)),
+                   text)
+            for k, text in enumerate(table.texts(header, columns))]
 
 
 def _previous_run(out_dir):
@@ -230,36 +235,46 @@ def cmd_evolve(args, config):
         (MOMENTUM, "momentum_density" in config.outputs)) if wanted]
     spec = StateSpec(config.params, config.n)
     # The checked grid and the moment table come before anything is
-    # removed, so a config they reject leaves an earlier run whole.
+    # written, so a config they reject leaves an earlier run whole.
     grid = uniform_grid(config.grid.x_min, config.grid.x_max,
                         config.grid.points)
     moments = _moment_rows(config) if "moments" in config.outputs else None
-    texts = functools.partial(_frame_text, spec, grid, _column_text(grid))
-    jobs = [(index, t, representation)
-            for index, t in enumerate(config.time.times(), start=1)
+    frames = list(enumerate(config.time.times(), start=1))
+    entries = [{"index": index, "t": t,
+                "file": _frame_name(representation, index)}
+               for index, t in frames for representation in representations]
+    jobs = [(representation, frames[k][0],
+             [t for _, t in frames[k:k + FRAME_BLOCK]])
+            for k in range(0, len(frames), FRAME_BLOCK)
             for representation in representations]
-    manifest = {"schema_version": 1, "config_echo": config.to_dict(),
-                "frames": []}
-    # Every file this run creates, so a failed run can take them back.
+    from .csvtext import CsvText
+    table = CsvText(grid.size, 3, FRAME_BLOCK, lead=grid)
+    files = functools.partial(_frame_files, spec, grid, table, out_dir)
+    # A failed run removes every .tmp file it may have left and the files
+    # it has put in place (`written`).
+    leftovers = [_tmp_path(out_dir / name) for name in (
+        *(entry["file"] for entry in entries), "moments.csv", "manifest.json")]
     written = []
     complete = False
     try:
-        # The manifest goes last, so a run stopped half way still lists
-        # whatever it left.
+        digests = {}
+        with ordered_map(files, jobs, parallel=(
+                len(entries) * grid.size >= POOL_MIN_WORK)) as results:
+            for (representation, first, _), job_digests in zip(jobs, results):
+                for k, digest in enumerate(job_digests):
+                    digests[_frame_name(representation, first + k)] = digest
+        # Every frame is written: only now does the earlier run go.
         for path in previous:
             path.unlink(missing_ok=True)
-        with ordered_map(texts, jobs,
-                         parallel=len(jobs) * grid.size >= POOL_MIN_WORK,
-                         chunk=POOL_CHUNK) as results:
-            for (index, t, representation), text in zip(jobs, results):
-                name = f"{representation}_{index:04d}.csv"
-                written.append(out_dir / name)
-                digest = _write(written[-1], text)
-                manifest["frames"].append(
-                    {"index": index, "t": t, "file": name, "sha256": digest})
+        manifest = {"schema_version": 1, "config_echo": config.to_dict(),
+                    "frames": entries}
+        for entry in entries:
+            written.append(out_dir / entry["file"])
+            os.replace(_tmp_path(written[-1]), written[-1])
+            entry["sha256"] = digests[entry["file"]]
         if moments is not None:
             written.append(out_dir / "moments.csv")
-            digest = _write(written[-1], moments)
+            digest = _replace(written[-1], moments.encode("ascii"))
             manifest["moments_file"] = {"file": "moments.csv", "sha256": digest}
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         written.append(out_dir / "manifest.json")
@@ -270,10 +285,9 @@ def cmd_evolve(args, config):
         return EXIT_IO
     finally:
         if not complete:
-            for path in written:
-                for leftover in (path, _tmp_path(path)):
-                    with contextlib.suppress(OSError):
-                        leftover.unlink()
+            for path in written + leftovers:
+                with contextlib.suppress(OSError):
+                    path.unlink()
     print(f"wrote {len(manifest['frames'])} frame file(s) to {out_dir}")
     return EXIT_OK
 

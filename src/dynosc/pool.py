@@ -1,9 +1,10 @@
 """Ordered map over forked worker processes, one per usable core.
 
-`verify` runs its independent measurements and `evolve` its frame files
-through `ordered_map`.  Results come back in job order and every side effect
-stays with the caller, so the output does not depend on the number of
-workers.
+`verify` runs its independent measurements and `evolve` its blocks of
+frames through `ordered_map`.  Results come back in job order, so the output
+does not depend on the number of workers.  A `verify` job only returns its
+measurements; an `evolve` job writes and hashes its frames' `.tmp` files and
+returns the sha256s, and the caller renames the files once every job is done.
 """
 
 import contextlib
@@ -34,14 +35,14 @@ def _usable_cores():
 
 
 @contextlib.contextmanager
-def ordered_map(fn, jobs, parallel=True, chunk=1):
+def ordered_map(fn, jobs, parallel=True):
     """Iterator over fn(job) for each of the sequence jobs, in job order.
 
     With parallel, more than one job, more than one usable core and the fork
     start method, forked workers run fn; otherwise this is a plain map.  fn
     reaches the workers by fork, so only jobs and results are pickled.  Each
-    worker takes `chunk` jobs at a time, the next when it is done, so jobs
-    start in order.  An error in a worker is raised here, at its job's
+    worker takes one job at a time, the next when it is done, so jobs start
+    in order.  An error in a worker is raised here, at its job's
     place, and the pool is terminated on every exit.
     """
     import multiprocessing
@@ -56,7 +57,7 @@ def ordered_map(fn, jobs, parallel=True, chunk=1):
         min(cores, len(jobs)), _init_worker, (fn,))
     try:
         yield itertools.chain.from_iterable(
-            pool.imap(_worker_call, jobs[start:start + WINDOW], chunk)
+            pool.imap(_worker_call, jobs[start:start + WINDOW])
             for start in range(0, len(jobs), WINDOW))
     finally:
         pool.terminate()

@@ -22,6 +22,9 @@ from dynosc.cli import main
 from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
                            RunConfig, config_from_dict, load_config,
                            preset_config)
+from dynosc.csvtext import CsvText
+
+from conftest import EDGE_VALUES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -345,6 +348,21 @@ class TestEvolveCommand:
         assert "config error" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
+    def test_failed_frame_keeps_the_earlier_run(self, tmp_path, capsys):
+        # t = 1e308 passes the config checks but not the frame evaluation
+        # ("amplitudes must be finite"): the frames are all written to .tmp
+        # files before anything of the earlier run is touched.
+        out = tmp_path / "out"
+        good = write_config(tmp_path, outputs=["position_density", "moments"])
+        assert main(["evolve", "--config", str(good), "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(earlier) == 3 + 2
+        bad = write_config(tmp_path, time={"t_start": 1e308, "t_end": 1e308,
+                                           "frames": 1})
+        assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
+        assert "amplitudes must be finite" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
     def test_failed_write_leaves_no_files(self, tmp_path, capsys):
         # An earlier one-frame run leaves its files and manifest; a directory
         # it did not write blocks this run's 2nd frame.  The failed run
@@ -495,23 +513,45 @@ class TestEvolvePool:
 
     def test_worker_error_exits_2_and_leaves_nothing(self, tmp_path, capsys,
                                                      monkeypatch):
+        # The failed run leaves none of its own files, .tmp ones included,
+        # and the earlier run in the directory stays as it was.
+        out = tmp_path / "out"
+        earlier_config = write_config(tmp_path, time={"frames": 2})
+        assert main(["evolve", "--config", str(earlier_config),
+                     "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
         path = self.pool_config(tmp_path)
         build_packet = cli.build_packet
 
-        def fails_late(spec, grid, t, representation):
-            if t > 3.0:
+        def fails_late(spec, grid, times, representation):
+            if np.max(times) > 3.0:
                 raise DomainError(f"t > 3 in process {os.getpid()}")
-            return build_packet(spec, grid, t, representation)
+            return build_packet(spec, grid, times, representation)
 
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "build_packet", fails_late)  # fork carries it
-        out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         raised_in = re.search(r"config error: t > 3 in process (\d+)", err)
         assert int(raised_in.group(1)) != os.getpid()  # raised in a worker
-        assert list(out.iterdir()) == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("points,frames", [(1024, 13), (8192, 2)])
+    def test_blocks_equal_per_value_repr(self, tmp_path, monkeypatch, points,
+                                         frames):
+        # 13 frames are two jobs per representation, one of them short; a
+        # frame of 8,192 points (the grid cap) spans several chunks.
+        path = write_config(
+            tmp_path, params={"mu0": 1.5, "beta0": 2.0 / 3.0, "delta0": 1.5},
+            grid={"x_min": -12.0, "x_max": 12.0, "points": points},
+            time={"t_start": 0.0, "t_end": 2.0 * math.pi, "frames": frames},
+            outputs=["position_density", "momentum_density"])
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert_frames_equal_reference(out, load_config(path))
 
 
 def swap_functions(monkeypatch, module, replace):
@@ -619,13 +659,6 @@ def assert_same_text(got, want):
     assert len(got_lines) == len(want_lines)
 
 
-# Where repr changes layout or precision: zero signs, the smallest subnormal
-# and normal, the switch to exponent notation below 1e-4 and from 1e16, and
-# the largest finite value.
-EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001,
-               1e16, 9999999999999998.0, 2.0, 0.1, 1.7976931348623157e308]
-
-
 def finite_bit_patterns(count, seed):
     bits = np.random.default_rng(seed).integers(
         0, 2 ** 64, size=count, dtype=np.uint64)
@@ -642,9 +675,12 @@ class TestExportBytes:
         values = finite_bit_patterns(100_000, seed=6)
         columns = values[: values.size // 4 * 4].reshape(4, -1)
         header = "x,density,re_psi,im_psi"
-        text = cli._frame_rows(header, cli._column_text(columns[0]),
-                               tuple(columns[1:]))
-        assert_same_text(text, reference_csv(header, columns))
+        table = CsvText(columns.shape[1], 3, lead=columns[0])
+        for shift in (0, 1):    # a second table through the same cells
+            rolled = np.roll(columns[1:], shift, axis=1)
+            [text] = table.texts(header, rolled[:, None])
+            assert_same_text(text.decode("ascii"),
+                             reference_csv(header, [columns[0], *rolled]))
 
     def test_moment_rows_equal_per_value_repr(self, tmp_path, monkeypatch):
         values = finite_bit_patterns(100_000, seed=7)
@@ -666,27 +702,33 @@ class TestExportBytes:
             outputs=["position_density", "wavefunction", "momentum_density"])
         out = tmp_path / "frames"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
-        config = load_config(path)
-        spec = StateSpec(config.params, config.n)
-        grid = uniform_grid(-10.0, 10.0, 64)
-        expected = []
-        for index, t in enumerate(config.time.times(), start=1):
-            for prefix, representation, header in (
-                    ("position", POSITION, "x,density,re_psi,im_psi"),
-                    ("momentum", MOMENTUM, "p,density,re_a,im_a")):
-                frame = sample_frame(spec, representation, grid, t)
-                text = reference_csv(header, (
-                    frame.grid, frame.density(), frame.amplitudes.real,
-                    frame.amplitudes.imag))
-                name = f"{prefix}_{index:04d}.csv"
-                assert (out / name).read_bytes() == text.encode("ascii")
-                expected.append({"index": index, "t": t, "file": name,
-                                 "sha256": hashlib.sha256(
-                                     text.encode("ascii")).hexdigest()})
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["frames"] == expected
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            [e["file"] for e in expected] + ["manifest.json"])
+        assert_frames_equal_reference(out, load_config(path))
+
+
+def assert_frames_equal_reference(out, config):
+    """Each frame file of an evolve run in out holds the per-value repr text
+    of its frame, and the manifest lists every file in order with its hash."""
+    spec = StateSpec(config.params, config.n)
+    grid = uniform_grid(config.grid.x_min, config.grid.x_max,
+                        config.grid.points)
+    expected = []
+    for index, t in enumerate(config.time.times(), start=1):
+        for prefix, representation, header in (
+                ("position", POSITION, "x,density,re_psi,im_psi"),
+                ("momentum", MOMENTUM, "p,density,re_a,im_a")):
+            frame = sample_frame(spec, representation, grid, t)
+            text = reference_csv(header, (
+                frame.grid, frame.density(), frame.amplitudes.real,
+                frame.amplitudes.imag))
+            name = f"{prefix}_{index:04d}.csv"
+            assert (out / name).read_bytes() == text.encode("ascii"), name
+            expected.append({"index": index, "t": t, "file": name,
+                             "sha256": hashlib.sha256(
+                                 text.encode("ascii")).hexdigest()})
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["frames"] == expected
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [e["file"] for e in expected] + ["manifest.json"])
 
 
 class TestVerifyCommand:
