@@ -11,22 +11,25 @@ error, 3 I/O error.  Frame CSVs carry the header x,density,re_psi,im_psi
 shortest round-trip decimals, so identical configs produce byte-identical
 output.  Each evolve run writes a manifest.json listing every written file
 with its sha256.  evolve reuses an output directory only if it is empty or
-holds a readable manifest.json (exit 3 otherwise), and once its own frames
-are written it removes the files that manifest lists under evolve's own
-file names.
+holds a readable manifest.json (exit 3 otherwise), and once its own files
+are staged it removes the files that manifest lists under evolve's own file
+names.
 
 verify and evolve run on every usable core (`pool.ordered_map`), and a
 serial run is `taskset -c 0`.  verify's parent alone prints.  An evolve job
 is one representation over a block of FRAME_BLOCK frames: the worker
 evaluates the block, formats each frame (`csvtext`, the grid column
-formatted once per run), writes it to NAME.csv.tmp and returns its sha256.
-Only when every job has succeeded does the parent remove the earlier run's
-files, rename the frames in order and write moments.csv and manifest.json,
-so a failed run leaves the earlier one whole and the bytes do not depend on
-the number of workers.  verify sends its criteria in a
-measured order (`verification.JOB_ORDER`): OpenBLAS's helper threads spin
-after each matrix-vector product of the quadrature DFT and take the other
-worker's core, so the criterion with the most DFT rows goes last.
+formatted once per run), writes it under its final name into the run's own
+staging directory (`.evolve-*` inside the output directory) and returns its
+sha256.  The parent stages moments.csv and manifest.json beside the frames;
+only then does it remove the earlier run's files and move the staged ones
+into place in one pass, the frames in order and manifest.json last.  So a
+failed run leaves the earlier one whole, two runs into one directory never
+share a file, and the bytes do not depend on the number of workers.  A
+killed run leaves its staging directory behind.  verify sends its criteria
+in a measured order (`verification.JOB_ORDER`): OpenBLAS's helper threads
+spin after each matrix-vector product of the quadrature DFT and take the
+other worker's core, so the criterion with the most DFT rows goes last.
 moments --check passes its frames to the DFT CHECK_FRAMES at a time; each
 call builds the quadrature kernel once, strip by strip, and never holds it
 whole.
@@ -39,7 +42,9 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -160,18 +165,6 @@ def cmd_moments(args, config):
     return EXIT_OK
 
 
-def _tmp_path(path):
-    return path.with_name(path.name + ".tmp")
-
-
-def _replace(path, data):
-    """Write data to path through path.tmp, so path is never half-written;
-    its sha256."""
-    digest = _write(_tmp_path(path), data)
-    os.replace(_tmp_path(path), path)
-    return digest
-
-
 def _write(path, data):
     """Write data to path; its sha256."""
     path.write_bytes(data)
@@ -182,13 +175,13 @@ def _frame_name(representation, index):
     return f"{representation}_{index:04d}.csv"
 
 
-def _frame_files(spec, grid, table, out_dir, job):
-    """Write the frames of job (representation, first index, times) to
-    their .tmp files; their sha256s.  table formats them (`CsvText`)."""
+def _frame_files(spec, grid, table, stage, job):
+    """Write the frames of job (representation, first index, times) under
+    their names in the directory stage; their sha256s.  table formats them
+    (`CsvText`)."""
     representation, first, times = job
     header, columns = build_packet(spec, grid, np.array(times), representation)
-    return [_write(_tmp_path(out_dir / _frame_name(representation, first + k)),
-                   text)
+    return [_write(stage / _frame_name(representation, first + k), text)
             for k, text in enumerate(table.texts(header, columns))]
 
 
@@ -223,71 +216,68 @@ def cmd_evolve(args, config):
                   "readable manifest.json; evolve reuses only a directory it "
                   "wrote", file=sys.stderr)
             return EXIT_IO
-        probe = out_dir / ".write_probe"
-        probe.write_bytes(b"")
-        probe.unlink()
+        # The run's own directory, so no other run touches its files; making
+        # it is also the check that out_dir is writable.
+        stage = Path(tempfile.mkdtemp(prefix=".evolve-", dir=out_dir))
     except OSError as exc:
         print(f"output directory not writable: {exc}", file=sys.stderr)
         return EXIT_IO
-    representations = [rep for rep, wanted in (
-        (POSITION, "position_density" in config.outputs
-         or "wavefunction" in config.outputs),
-        (MOMENTUM, "momentum_density" in config.outputs)) if wanted]
-    spec = StateSpec(config.params, config.n)
-    # The checked grid and the moment table come before anything is
-    # written, so a config they reject leaves an earlier run whole.
-    grid = uniform_grid(config.grid.x_min, config.grid.x_max,
-                        config.grid.points)
-    moments = _moment_rows(config) if "moments" in config.outputs else None
-    frames = list(enumerate(config.time.times(), start=1))
-    entries = [{"index": index, "t": t,
-                "file": _frame_name(representation, index)}
-               for index, t in frames for representation in representations]
-    jobs = [(representation, frames[k][0],
-             [t for _, t in frames[k:k + FRAME_BLOCK]])
-            for k in range(0, len(frames), FRAME_BLOCK)
-            for representation in representations]
-    from .csvtext import CsvText
-    table = CsvText(grid.size, 3, FRAME_BLOCK, lead=grid)
-    files = functools.partial(_frame_files, spec, grid, table, out_dir)
-    # A failed run removes every .tmp file it may have left and the files
-    # it has put in place (`written`).
-    leftovers = [_tmp_path(out_dir / name) for name in (
-        *(entry["file"] for entry in entries), "moments.csv", "manifest.json")]
-    written = []
+    published = []
     complete = False
     try:
+        representations = [rep for rep, wanted in (
+            (POSITION, "position_density" in config.outputs
+             or "wavefunction" in config.outputs),
+            (MOMENTUM, "momentum_density" in config.outputs)) if wanted]
+        spec = StateSpec(config.params, config.n)
+        grid = uniform_grid(config.grid.x_min, config.grid.x_max,
+                            config.grid.points)
+        moments = _moment_rows(config) if "moments" in config.outputs else None
+        frames = list(enumerate(config.time.times(), start=1))
+        entries = [{"index": index, "t": t,
+                    "file": _frame_name(representation, index)}
+                   for index, t in frames for representation in representations]
+        jobs = [(representation, frames[k][0],
+                 [t for _, t in frames[k:k + FRAME_BLOCK]])
+                for k in range(0, len(frames), FRAME_BLOCK)
+                for representation in representations]
+        from .csvtext import CsvText
+        table = CsvText(grid.size, 3, FRAME_BLOCK, lead=grid)
+        files = functools.partial(_frame_files, spec, grid, table, stage)
         digests = {}
         with ordered_map(files, jobs, parallel=(
                 len(entries) * grid.size >= POOL_MIN_WORK)) as results:
             for (representation, first, _), job_digests in zip(jobs, results):
                 for k, digest in enumerate(job_digests):
                     digests[_frame_name(representation, first + k)] = digest
-        # Every frame is written: only now does the earlier run go.
-        for path in previous:
-            path.unlink(missing_ok=True)
+        for entry in entries:
+            entry["sha256"] = digests[entry["file"]]
         manifest = {"schema_version": 1, "config_echo": config.to_dict(),
                     "frames": entries}
-        for entry in entries:
-            written.append(out_dir / entry["file"])
-            os.replace(_tmp_path(written[-1]), written[-1])
-            entry["sha256"] = digests[entry["file"]]
+        names = [entry["file"] for entry in entries]
         if moments is not None:
-            written.append(out_dir / "moments.csv")
-            digest = _replace(written[-1], moments.encode("ascii"))
+            digest = _write(stage / "moments.csv", moments.encode("ascii"))
             manifest["moments_file"] = {"file": "moments.csv", "sha256": digest}
+            names.append("moments.csv")
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        written.append(out_dir / "manifest.json")
-        _replace(written[-1], manifest_text.encode("utf-8"))
+        _write(stage / "manifest.json", manifest_text.encode("utf-8"))
+        names.append("manifest.json")
+        # Every file is staged: only now does the earlier run go.
+        for path in previous:
+            path.unlink(missing_ok=True)
+        for name in names:
+            os.replace(stage / name, out_dir / name)
+            published.append(out_dir / name)
         complete = True
     except OSError as exc:
         print(f"write failed: {exc}", file=sys.stderr)
         return EXIT_IO
     finally:
         if not complete:
-            for path in written + leftovers:
+            for path in published:
                 with contextlib.suppress(OSError):
                     path.unlink()
+        shutil.rmtree(stage, ignore_errors=True)
     print(f"wrote {len(manifest['frames'])} frame file(s) to {out_dir}")
     return EXIT_OK
 

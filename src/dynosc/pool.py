@@ -3,17 +3,13 @@
 `verify` runs its independent measurements and `evolve` its blocks of
 frames through `ordered_map`.  Results come back in job order, so the output
 does not depend on the number of workers.  A `verify` job only returns its
-measurements; an `evolve` job writes and hashes its frames' `.tmp` files and
-returns the sha256s, and the caller renames the files once every job is done.
+measurements; an `evolve` job writes and hashes its frames in the run's
+staging directory and returns the sha256s, and the caller moves the files
+into place once every job is done.
 """
 
 import contextlib
-import itertools
 import os
-
-# Jobs handed to the pool at a time, so that buffered results stay bounded
-# for any number of jobs.
-WINDOW = 256
 
 _worker_fn = None  # the function of the running map, in a pool worker
 
@@ -56,9 +52,7 @@ def ordered_map(fn, jobs, parallel=True):
     pool = multiprocessing.get_context("fork").Pool(
         min(cores, len(jobs)), _init_worker, (fn,))
     try:
-        yield itertools.chain.from_iterable(
-            pool.imap(_worker_call, jobs[start:start + WINDOW])
-            for start in range(0, len(jobs), WINDOW))
+        yield pool.imap(_worker_call, jobs)
     finally:
         pool.terminate()
         pool.join()

@@ -116,6 +116,7 @@ class TestStripKernel:
             assert np.array_equal(bits(streamed(phase, grid, block[k])),
                                   bits(want[k]))
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("phase", [-1j, 1j])
     def test_equals_full_build_at_4096_points(self, phase):
         # The reference holds one 256 MiB kernel.

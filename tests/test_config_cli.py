@@ -326,8 +326,7 @@ class TestEvolveCommand:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
-        assert list(out.glob("*.csv")) == []
-        assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("overrides", [
         {"params": {"alpha0": 1e9}}, {"params": {"delta0": 1e200}},
@@ -350,8 +349,8 @@ class TestEvolveCommand:
 
     def test_failed_frame_keeps_the_earlier_run(self, tmp_path, capsys):
         # t = 1e308 passes the config checks but not the frame evaluation
-        # ("amplitudes must be finite"): the frames are all written to .tmp
-        # files before anything of the earlier run is touched.
+        # ("amplitudes must be finite"): the frames are all staged before
+        # anything of the earlier run is touched.
         out = tmp_path / "out"
         good = write_config(tmp_path, outputs=["position_density", "moments"])
         assert main(["evolve", "--config", str(good), "--out", str(out)]) == 0
@@ -446,6 +445,52 @@ class TestEvolveCommand:
         assert Path(calls[1]).name == "position_0002.csv"
         assert list(out.iterdir()) == []
 
+    def test_unwritable_stage_is_io_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        # The staging directory cannot be made.  Root ignores chmod, so a
+        # patch refuses it.
+        out = tmp_path / "out"
+        path = write_config(tmp_path)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert "output directory not writable" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_overlapping_runs_end_whole(self, tmp_path, monkeypatch):
+        # A second run starts into --out, which holds a finished run, while
+        # the first is writing its frames.  Each run stages its own files,
+        # so both end whole and the last one to publish stays.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, outputs=["position_density", "moments"])
+        argv = ["evolve", "--config", str(path), "--out", str(out)]
+        assert main(argv) == 0
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+        write, calls, inner_exits = cli._write, [], []
+
+        def write_then_start_a_second_run(target, data):
+            digest = write(target, data)
+            calls.append(target)
+            if len(calls) == 1:
+                inner_exits.append(main(argv))
+            return digest
+
+        monkeypatch.setattr(cli, "_write", write_then_start_a_second_run)
+        assert main(argv) == 0
+        assert inner_exits == [0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = [*manifest["frames"], manifest["moments_file"]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [entry["file"] for entry in listed] + ["manifest.json"])
+        for entry in listed:
+            digest = hashlib.sha256((out / entry["file"]).read_bytes())
+            assert digest.hexdigest() == entry["sha256"]
+
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -513,8 +558,8 @@ class TestEvolvePool:
 
     def test_worker_error_exits_2_and_leaves_nothing(self, tmp_path, capsys,
                                                      monkeypatch):
-        # The failed run leaves none of its own files, .tmp ones included,
-        # and the earlier run in the directory stays as it was.
+        # The failed run leaves none of its own files, its staging directory
+        # included, and the earlier run in the directory stays as it was.
         out = tmp_path / "out"
         earlier_config = write_config(tmp_path, time={"frames": 2})
         assert main(["evolve", "--config", str(earlier_config),
@@ -552,6 +597,18 @@ class TestEvolvePool:
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
         assert multiprocessing.active_children() == []
         assert_frames_equal_reference(out, load_config(path))
+
+
+@needs_fork
+def test_ordered_map_keeps_job_order_over_many_jobs(monkeypatch):
+    # 600 jobs on 2 workers come back in job order, each run in a worker.
+    parent = os.getpid()
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+    jobs = list(range(600))
+    with pool.ordered_map(lambda j: (j * j, os.getpid() != parent),
+                          jobs) as results:
+        assert list(results) == [(j * j, True) for j in jobs]
+    assert multiprocessing.active_children() == []
 
 
 def swap_functions(monkeypatch, module, replace):
@@ -597,9 +654,12 @@ class TestVerifyPool:
     # Each full battery takes seconds, so one run pairs the negative
     # controls: beta0sq and the half-speed clock.
     @pytest.mark.parametrize("argv", [
-        [], ["--tau-convention", "minus_two_gamma"],
-        ["--tau-convention", "minus_gamma",
-         "--appendix-b-denominator", "beta0sq"],
+        pytest.param([], marks=pytest.mark.slow),
+        pytest.param(["--tau-convention", "minus_two_gamma"],
+                     marks=pytest.mark.slow),
+        pytest.param(["--tau-convention", "minus_gamma",
+                      "--appendix-b-denominator", "beta0sq"],
+                     marks=pytest.mark.slow),
         ["--preset", "example3"], ["--config", "n=3"]],
         ids=["bare", "minus_two_gamma", "minus_gamma_beta0sq", "example3",
              "config_n3"])

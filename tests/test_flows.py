@@ -247,6 +247,7 @@ class TestMoments:
                 assert (plus.mean_p - minus.mean_p) / (2 * h) == pytest.approx(
                     -m.mean_x, abs=1e-8)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("n", [0, 3])
     def test_array_times_equal_scalar_calls(self, random_params, n):
         # Over the criterion-5 times (dense scan plus analytic extremizers).
