@@ -2,37 +2,40 @@
 
     dynosc verify  [--preset NAME | --config PATH] [--appendix-b-denominator ...]
                    [--tau-convention ...]
-    dynosc evolve  (--preset NAME | --config PATH) --out DIR
+    dynosc evolve  (--preset NAME | --config PATH) --out DIR [--timings]
     dynosc moments (--preset NAME | --config PATH) [--check]
 
 Exit codes: 0 all checks pass / files written, 1 check failure, 2 config
-error, 3 I/O error.  Frame CSVs carry the header x,density,re_psi,im_psi
-(p,density,re_a,im_a for momentum frames), LF line endings, and floats as
-shortest round-trip decimals, so identical configs produce byte-identical
-output.  Each evolve run writes a manifest.json listing every written file
-with its sha256.  evolve reuses an output directory only if it is empty or
-holds a readable manifest.json (exit 3 otherwise), and once its own files
-are staged it removes the files that manifest lists under evolve's own file
-names.
+error, 3 I/O error or a worker process that ended unexpectedly.  Frame CSVs
+carry the header x,density,re_psi,im_psi (p,density,re_a,im_a for momentum
+frames), LF line endings, and floats as shortest round-trip decimals, so
+identical configs produce byte-identical output.  Each evolve run writes a
+manifest.json listing every written file with its sha256.  evolve reuses an
+output directory only if it is empty or holds a readable manifest.json
+(exit 3 otherwise), and once its own files are staged it removes the files
+that manifest lists under evolve's own file names.
 
 verify and evolve run on every usable core (`pool.ordered_map`), and a
 serial run is `taskset -c 0`.  verify's parent alone prints.  An evolve job
 is one representation over a block of FRAME_BLOCK frames: the worker
 evaluates the block, formats each frame (`csvtext`, the grid column
-formatted once per run), writes it under its final name into the run's own
-staging directory (`.evolve-*` inside the output directory) and returns its
-sha256.  The parent stages moments.csv and manifest.json beside the frames;
-only then does it remove the earlier run's files and move the staged ones
-into place in one pass, the frames in order and manifest.json last.  So a
-failed run leaves the earlier one whole, two runs into one directory never
-share a file, and the bytes do not depend on the number of workers.  A
-killed run leaves its staging directory behind.  verify sends its criteria
-in a measured order (`verification.JOB_ORDER`): OpenBLAS's helper threads
-spin after each matrix-vector product of the quadrature DFT and take the
-other worker's core, so the criterion with the most DFT rows goes last.
-moments --check passes its frames to the DFT CHECK_FRAMES at a time; each
-call builds the quadrature kernel once, strip by strip, and never holds it
-whole.
+formatted once per worker), writes it under its final name into the run's
+own staging directory (`.evolve-*` inside the output directory) and returns
+its sha256 and the seconds it spent evaluating, formatting and writing
+(`--timings` prints their sums to stderr); the parent formats nothing
+unless the run is serial.  The parent stages moments.csv and manifest.json
+beside the frames; only then does it remove the earlier run's files and
+move the staged ones into place in one pass, the frames in order and
+manifest.json last.  So a failed run leaves the earlier one whole, two runs
+into one directory never share a file, and the bytes do not depend on the
+number of workers.  A worker that dies ends the run with exit 3.  A killed
+run leaves its staging directory behind; its workers exit once their job is
+done.  verify sends its criteria in a measured order
+(`verification.JOB_ORDER`): OpenBLAS's helper threads spin after each
+matrix-vector product of the quadrature DFT and take the other worker's
+core, so the criterion with the most DFT rows goes last.  moments --check
+passes its frames to the DFT CHECK_FRAMES at a time; each call builds the
+quadrature kernel once, strip by strip, and never holds it whole.
 """
 
 import argparse
@@ -45,6 +48,7 @@ import re
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +58,7 @@ from .errors import ConfigError, DomainError
 from .flows import BETA0_QUARTIC, BETA0_SQUARED, classical_moments
 from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum_rows,
                      psi_rows, quadrature_moment_rows)
-from .pool import ordered_map
+from .pool import WorkerDied, ordered_map
 from .states import (MOMENTUM, POSITION, StateSpec, eval_momentum, eval_psi,
                      uniform_grid)
 from .verification import run_acceptance, scoped_checks
@@ -65,11 +69,15 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 # Least work, frame files x grid points, for which evolve starts a worker
-# pool.  Measured in-process with jobs of FRAME_BLOCK frames on 2 cores
-# (medians of 21, serial -> pooled): the pool loses at 8,192 (64 points x
-# 128 files 64 -> 98 ms), ties or wins a little at 16,384 (1,024 x 16
-# 49 -> 47 ms, 64 x 256 90 -> 83 ms) and wins from 32,768 (1,024 x 32
-# 70 -> 60 ms, 1,024 x 64 204 -> 148 ms).
+# pool.  Measured in-process with jobs of FRAME_BLOCK frames on 2 cores,
+# serial and pooled runs alternating (three runs, medians of 21 each,
+# serial -> pooled): the pool loses a little at 12,288 (1,024 points x 12
+# files 18.5 -> 21.9, 29.4 -> 29.7, 22.1 -> 25.3 ms), ties at 16,384
+# (1,024 x 16 31.7 -> 30.6, 35.3 -> 32.8, 30.5 -> 31.8 ms) and wins at
+# 32,768 (1,024 x 32 47.2 -> 43.2, 47.1 -> 42.2, 70.7 -> 59.3 ms).  The
+# 64-point cases (64 x 128, 64 x 256) are bound by file creation and moved
+# by 2x between runs.  Bare forks start no faster than the multiprocessing
+# pool did once its import was paid, so in one process the bound stays.
 POOL_MIN_WORK = 12288
 # Frames per evolve job: one representation, evaluated as one (T, N) block.
 FRAME_BLOCK = 8
@@ -132,9 +140,6 @@ def cmd_verify(args, config):
 
 
 def _moment_rows(config, check=False):
-    # csvtext is imported only where CSVs are written: with no bytecode
-    # cache (PYTHONDONTWRITEBYTECODE) compiling it costs every process ~4 ms.
-    from .csvtext import csv_bytes
     header = "t,mean_x,mean_p,var_x,var_p,product,energy"
     times = config.time.times()
     m = classical_moments(config.params, config.n, times)
@@ -157,6 +162,10 @@ def _moment_rows(config, check=False):
         quad[2:] -= quad[:2] * quad[:2]
         columns += [np.abs(q - c) / np.maximum(1.0, np.abs(c))
                     for q, c in zip(quad, checked)]
+    # csvtext is imported only where CSVs are written: with no bytecode
+    # cache (PYTHONDONTWRITEBYTECODE) compiling it costs every process ~4 ms
+    # and ~1.8 MB of parser memory, which here reuses the DFT's.
+    from .csvtext import csv_bytes
     return csv_bytes(header, columns).decode("ascii")
 
 
@@ -175,14 +184,27 @@ def _frame_name(representation, index):
     return f"{representation}_{index:04d}.csv"
 
 
+def _frame_table(grid):
+    """The `CsvText` of FRAME_BLOCK frames on the grid, grid column first."""
+    from .csvtext import CsvText
+    return CsvText(grid.size, 3, FRAME_BLOCK, lead=grid)
+
+
 def _frame_files(spec, grid, table, stage, job):
     """Write the frames of job (representation, first index, times) under
-    their names in the directory stage; their sha256s.  table formats them
-    (`CsvText`)."""
+    their names in the directory stage; their sha256s, and the seconds it
+    took to evaluate, format and write them.  table() gives the `CsvText`
+    that formats them."""
     representation, first, times = job
+    start = time.perf_counter()
     header, columns = build_packet(spec, grid, np.array(times), representation)
-    return [_write(stage / _frame_name(representation, first + k), text)
-            for k, text in enumerate(table.texts(header, columns))]
+    evaluated = time.perf_counter()
+    texts = table().views(header, columns)
+    formatted = time.perf_counter()
+    digests = [_write(stage / _frame_name(representation, first + k), text)
+               for k, text in enumerate(texts)]
+    return digests, (evaluated - start, formatted - evaluated,
+                     time.perf_counter() - formatted)
 
 
 def _previous_run(out_dir):
@@ -241,13 +263,16 @@ def cmd_evolve(args, config):
                  [t for _, t in frames[k:k + FRAME_BLOCK]])
                 for k in range(0, len(frames), FRAME_BLOCK)
                 for representation in representations]
-        from .csvtext import CsvText
-        table = CsvText(grid.size, 3, FRAME_BLOCK, lead=grid)
+        # Made by the first frame that a process formats: a pooled run's
+        # parent neither imports nor builds a formatter.
+        table = functools.cache(functools.partial(_frame_table, grid))
         files = functools.partial(_frame_files, spec, grid, table, stage)
-        digests = {}
+        digests, seconds = {}, [0.0, 0.0, 0.0]
         with ordered_map(files, jobs, parallel=(
                 len(entries) * grid.size >= POOL_MIN_WORK)) as results:
-            for (representation, first, _), job_digests in zip(jobs, results):
+            for (representation, first, _), (job_digests, job_seconds) in zip(
+                    jobs, results):
+                seconds = [a + b for a, b in zip(seconds, job_seconds)]
                 for k, digest in enumerate(job_digests):
                     digests[_frame_name(representation, first + k)] = digest
         for entry in entries:
@@ -279,6 +304,10 @@ def cmd_evolve(args, config):
                     path.unlink()
         shutil.rmtree(stage, ignore_errors=True)
     print(f"wrote {len(manifest['frames'])} frame file(s) to {out_dir}")
+    if args.timings:
+        print(f"timings: {len(jobs)} job(s), evaluate {seconds[0]:.3f} s, "
+              f"format {seconds[1]:.3f} s, write {seconds[2]:.3f} s "
+              "(summed over jobs)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -305,6 +334,10 @@ def build_parser():
     _add_source_options(evolve)
     evolve.add_argument("--out", metavar="DIR", required=True,
                         help="output directory")
+    evolve.add_argument("--timings", action="store_true",
+                        help="print the seconds spent evaluating, formatting "
+                             "and writing (and hashing) frames, summed over "
+                             "jobs, to stderr")
     evolve.set_defaults(func=cmd_evolve)
 
     moments = sub.add_parser("moments", help="print the closed-form moment table")
@@ -325,6 +358,9 @@ def main(argv=None):
         reason = "float64 overflow" if isinstance(exc, OverflowError) else exc
         print(f"config error: {reason}", file=sys.stderr)
         return EXIT_CONFIG
+    except WorkerDied:
+        print("worker process ended unexpectedly", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

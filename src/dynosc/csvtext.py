@@ -9,56 +9,67 @@ over whole arrays in `uint64`, with 64x64 -> 128-bit products built from
 decimal exponent is from -4 to 15 (`0.0001`, `12.5`, `123.0`), otherwise
 `d.ddde±XX` with at least two exponent digits (`1e-05`, `1e+16`).
 
-Each value gets a cell of WIDTH bytes: the digits before the point,
-right-aligned up to a fixed point column, then the point, then the digits
-after it, left-aligned; a few bytes are then placed per value (sign,
-exponent, separator, the point of `0.00123`).  The text of every value is
-then one run of its cell, so one boolean selection over the cells of a
-block of rows yields the CSV text, separators included.  Values on Ryū's
-rare trailing-zero branch, values with |v| >= 2^50, subnormals and
-non-finite values take repr one at a time.
+Each value gets a cell of WIDTH bytes, with its sign, its exponent and the
+separator at fixed columns and its digits around a fixed point column, and
+a keep row that selects its text, so one boolean selection over a table's
+cells yields the CSV.  A `CsvText` makes its cells and a workspace of
+uint64 rows once; every pass writes its intermediates there (`out=`), so a
+warmed call allocates little and faults in no page.  Values on Ryū's rare
+trailing-zero branch, |v| >= 2^50, subnormals and non-finite values take
+repr one at a time.
 """
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 
-# Most values per pass.  Each uint64 temporary then stays at or below 64 KiB,
-# under glibc's 128 KiB mmap threshold, so it comes from the heap, not from a
-# mapping of its own; the heap's top is still trimmed after a pass and
-# faulted in again by the next (`_fill` peaks at ~500 KB).  On an 8-frame
-# example3 block (24,576 values) passes of 8,192 took 570-600 ns a value, of
-# 4,096 600-615 ns and of 2,048 ~780 ns (2-vCPU Xeon VM, NumPy 2.4).
+# Values per pass, about: a block of rows is cut into equal passes, each of
+# ~200 NumPy calls, and the workspace holds one pass (~1 MB at 8,192).  A
+# warmed 8-frame example3 block (24,576 values, one core, medians of 15)
+# took 214 ns a value in passes of 8,192, 197 in passes of 16,384, 255 of
+# 4,096 and 324 of 2,048, with 0 minor faults a call (2-vCPU VM, NumPy 2.4).
 CHUNK = 8192
 
 # Largest biased exponent on the array path: |v| < 2^50.  Below it Ryū's
 # binary exponent e2 is at most -5, so only its e2 < 0 branch is needed, with
-# its table of 5^i, and no value has Ryū's vm or vp on a trailing-zero case
-# other than the vr one tested below.
+# its table of 5^i, and only vr can be on a trailing-zero case (tested
+# below).  At most 16 digits precede the point, and exponents are negative.
 _MAX_EXP = 1072
 _POW5_BITS = 125
 _POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
 # Half of the last digit dropped: 5 * 10^(k-1); nothing rounds at k = 0.
-_HALF = np.array([2 ** 64 - 1] + [5 * 10 ** k for k in range(19)],
-                 dtype=np.uint64)
+_HALF = np.array([2 ** 64 - 1] + [5 * 10 ** k for k in range(19)], np.uint64)
 
-# Cell layout.  The point column is fixed: up to 17 digits end just before
-# it and up to 17 follow it; 6 bytes of exponent and separator follow those.
-_POINT = 18
-WIDTH = _POINT + 18 + 6
+# Cell layout: '-', up to 16 digits before the point column and 17 after it,
+# the exponent (e-05, e-100) right-aligned in 5 columns, the separator.
+_POINT = 17
+_EXP = _POINT + 18
+WIDTH = _EXP + 6
 
 
-def _get(table, index):
-    """table[index] for indices known to be in range; mode="clip" spares
-    np.take the bounds check that buffers its output."""
-    return np.take(table, index, mode="clip")
+def _take(table, index, out):
+    """table[index] into out; "clip" spares np.take a buffered bounds check."""
+    return np.take(table, index, mode="clip", out=out)
+
+
+def _put(cells, column, data):
+    """cells[..., column:column + k] = data, (n, k) bytes: a copy per cell."""
+    item = f"V{data.shape[-1]}"
+    cells[..., column:column + data.shape[-1]].view(item)[..., 0] = data.view(
+        item)[:, 0].reshape(cells.shape[:-1])
+
+
+def _count(flag, out):
+    """A boolean flag as 0/1 in out: an assignment casts in place."""
+    out[...] = flag
+    return out
 
 
 @functools.cache
 def _tables():
-    """Per-exponent Ryū constants, digit groups and cell ranges, built on
-    first use (~0.3 ms), so `import dynosc` builds none of them."""
-    exp = np.arange(_MAX_EXP + 1)
+    """Per-exponent constants, digits and keep rows, built on first use."""
+    exp = np.minimum(np.arange(2048), _MAX_EXP)   # by the raw exponent field
     e2 = np.maximum(exp, 1) - 1023 - 52 - 2           # Ryū's binary exponent
     q = ((-e2 * 732923) >> 20) - 1          # floor(log10(5^-e2)) - 1
     i = -e2 - q
@@ -74,14 +85,9 @@ def _tables():
         data = b"".join(m.to_bytes(16, "little") for m in ints)
         return np.frombuffer(data, size).reshape(len(ints), -1).T[:, i]
 
-    limbs = words(mul, "<u4").astype(np.uint64)
-    half = words([(m + 1) >> 1 for m in mul], "<u8")
     # vr = floor(4 m2 mul / 2^j), j = q - cut, is the 192-bit product
     # 2 m2 mul from bit 64 + shift on; vr is digits x 10^(q + e2).
     shift = (q - np.array(cut)[i] - 1 - 64).astype(np.uint64)
-    # Ryū's vrIsTrailingZeros: 4 m2 has at least q trailing zero bits.
-    zeros_mask = np.where(q < 63, (np.uint64(1) << q.astype(np.uint64))
-                          - np.uint64(1), np.uint64(2 ** 64 - 1))
     # Point position of the binade's least value 2^e, floor(log10 2^e) + 1
     # (Ryū's log10Pow2 is exact here): a value of the binade has its point
     # there or one digit later.
@@ -91,287 +97,315 @@ def _tables():
     digit = np.arange(ord("0"), ord("9") + 1, dtype="<u4")
     quads = (digit[:, None, None, None] | digit[:, None, None] << 8
              | digit[:, None] << 16 | digit << 24).ravel()
-    # keep[start * (WIDTH + 1) + end]: bytes start..end-1 of a cell.
-    col = np.arange(WIDTH)
-    keep = ((col >= np.arange(WIDTH + 1)[:, None, None])
-            & (col < np.arange(WIDTH + 1)[None, :, None]))
-    return {"limbs": limbs,
-            "mul": (limbs[0] | limbs[1] << np.uint64(32),
-                    limbs[2] | limbs[3] << np.uint64(32)), "half": half,
-            "shift": shift, "unshift": np.uint64(64) - shift,
-            "zeros_mask": zeros_mask, "point": point,
-            "digits_below": point - (q + e2),
-            "quads": quads, "keep": keep.reshape(-1, WIDTH)}
+    # Then the four columns before the point column of 0.0125, 0.00125 and
+    # 0.000125 (whose point column holds a 0).
+    quads = np.concatenate([quads, np.frombuffer(b"000.00.00.00", "<u4")])
+    # The exponent of point position -k, right-aligned in five bytes.
+    exps = "".join(f"e-{k + 1:02d}".rjust(5).ljust(8) for k in range(330))
+    # keep[((sign * 3 + kind) * (_POINT + 1) + start) * (_EXP + 1) + stop]:
+    # bytes start..stop-1 of a cell, the sign if set, the exponent of kind
+    # 1 (e-05) or 2 (e-100) if any, and the separator; 1e-05 has no point.
+    sign, kind, start, stop, col = np.ix_(range(2), range(3), range(
+        _POINT + 1), range(_EXP + 1), range(WIDTH))
+    tail = np.where(kind, _EXP + 2 - kind, WIDTH - 1)    # exponent, separator
+    keep = ((col >= start) & (col < stop) | (col == 0) & (sign == 1)
+            | (col >= tail))
+    keep &= (col != _POINT) | (stop > _POINT + 1) | (kind == 0)
+    return {"limbs": words(mul, "<u4").astype(np.uint64),
+            "half": words([(m + 1) >> 1 for m in mul], "<u8"), "shift": shift,
+            "zeros_mask": np.where(q < 63, (np.uint64(1) << q.astype(
+                np.uint64)) - np.uint64(1), np.uint64(2 ** 64 - 1)),
+            "point": point, "digits_below": point - (q + e2), "quads": quads,
+            "exps": np.frombuffer(exps.encode("ascii"), "<u8"),
+            "kind": np.digitize(np.arange(330), [4, 99]),   # e-05, e-100
+            "keep": keep.reshape(-1, WIDTH)}
 
 
-def _product(n, limbs):
-    """The 192-bit product n * mul as (lo, mid, hi) uint64 words, for
-    n < 2^54 and mul < 2^125 given by its four 32-bit limbs.  Each column
-    of 32 bits is summed in place, so few temporaries are alive at once."""
+class _Work:
+    """Buffers of a pass of up to `size` values, made once per table: a pass
+    writes its intermediates there (`out=`) and allocates only lane lists, so
+    it faults no page in afresh.  A ufunc that casts allocates a buffer."""
+
+    U64 = "exp m2 c0 c1 c2 c3 lo mid hi nh k t".split()
+    FLAGS = "go up down trailing slow integral fraction science".split()
+    # int64 views of uint64 buffers that are free from where they are set.
+    INTP = {"dropped": "c1", "length": "m2", "point": "c0", "before": "c3",
+            "after": "hi", "cut": "nh", "start": "lo", "ti": "t", "later": "k"}
+
+    def __init__(self, size):
+        self.size, self.quads = size, np.empty((size, 4), "<u4")
+        self.u64 = np.empty((len(self.U64), size), np.uint64)
+        self.flags = np.empty((len(self.FLAGS), size), bool)
+
+    def views(self, n):
+        w = dict(zip(self.U64 + self.FLAGS, [*self.u64[:, :n],
+                                             *self.flags[:, :n]]))
+        w.update((key, w[row].view(np.intp)) for key, row in self.INTP.items())
+        return SimpleNamespace(quads=self.quads[:n], **w)
+
+
+def _product(n, limbs, lo, mid, hi, nh, k, t):
+    """The 192-bit product n * mul into (lo, mid, hi), n < 2^54 and mul <
+    2^125 in 32-bit limbs, summed by 32-bit columns; n, nh, k, t are reused."""
     c0, c1, c2, c3 = limbs
-    low, bits = np.uint64(0xFFFFFFFF), np.uint64(32)
-    nl, nh = n & low, n >> bits
-    k = nl * c0
-    s = k >> bits
-    lo = k & low
-    k = nl * c1
-    s += k & low
-    s += nh * c0
-    lo |= s << bits
-    s >>= bits
-    s += k >> bits
-    k = nl * c2
-    s += k & low
-    s += nh * c1
-    mid = s & low
-    s >>= bits
-    s += k >> bits
-    s += nl * c3
-    s += nh * c2
-    mid |= s << bits
-    s >>= bits
-    s += nh * c3
-    return lo, mid, s
+    low, s = 0xFFFFFFFF, hi
+    np.right_shift(n, 32, out=nh)
+    n &= low
+    np.right_shift(np.multiply(n, c0, out=k), 32, out=s)
+    np.bitwise_and(k, low, out=lo)
+    np.multiply(n, c1, out=k)
+    s += np.bitwise_and(k, low, out=t)
+    s += np.multiply(nh, c0, out=t)
+    lo |= np.left_shift(s, 32, out=t)
+    s >>= 32
+    s += np.right_shift(k, 32, out=t)
+    np.multiply(n, c2, out=k)
+    s += np.bitwise_and(k, low, out=t)
+    s += np.multiply(nh, c1, out=t)
+    np.bitwise_and(s, low, out=mid)
+    s >>= 32
+    s += np.right_shift(k, 32, out=t)
+    s += np.multiply(n, c3, out=t)
+    s += np.multiply(nh, c2, out=t)
+    mid |= np.left_shift(s, 32, out=t)
+    s >>= 32
+    s += np.multiply(nh, c3, out=t)
 
 
-def _shortest(vr, vp, vm):
-    """Ryū's common case: drop digits of vr while the interval (vm, vp]
+def _shortest(vr, up, vm, w):
+    """Ryū's common case: drop digits of vr while the interval (vm, up]
     still holds a shorter number, rounding by the last digit dropped.
-    Returns the digits and the number dropped."""
-    dropped = np.zeros(vr.size, dtype=np.intp)
-    up, down = vp, vm
+    Leaves the digits in w.c2 and their number dropped in w.dropped."""
+    down, dropped, scale, out = w.lo, w.dropped, w.mid, w.c2
+    down[...], dropped[...] = vm, 0
     for _ in range(3):                # most values drop one to three
-        up, down = up // np.uint64(10), down // np.uint64(10)
-        go = up > down
-        dropped += go
-    lanes = np.flatnonzero(go)
+        up //= 10
+        down //= 10
+        dropped += _count(np.greater(up, down, out=w.go), w.ti)
+    lanes = np.flatnonzero(w.go)
     up, down = up[lanes], down[lanes]
     while lanes.size:
-        up, down = up // np.uint64(10), down // np.uint64(10)
+        up, down = up // 10, down // 10
         go = np.flatnonzero(up > down)
         lanes, up, down = lanes[go], up[go], down[go]
         dropped[lanes] += 1
-    scale = _get(_POW10, dropped)
-    out = vr // scale
-    rounds = vr - out * scale >= _get(_HALF, dropped)
-    return out + (rounds | (out == vm // scale)), dropped
+    np.floor_divide(vr, _take(_POW10, dropped, scale), out=out)
+    vr -= np.multiply(out, scale, out=w.t)
+    np.greater_equal(vr, _take(_HALF, dropped, w.t), out=w.go)
+    w.go |= np.equal(np.floor_divide(vm, scale, out=vm), out, out=w.up)
+    out += _count(w.go, w.t)
 
 
-def _render(x, tab):
-    """The 17-digit zero-padded decimal of each x < 10^17: its first digit
-    as an ASCII byte, and the other 16 as ASCII bytes, shape x.shape +
-    (16,).  x is overwritten."""
-    lead = x // np.uint64(10 ** 16)
-    x -= lead * np.uint64(10 ** 16)
-    lead += np.uint64(ord("0"))
-    high = x // np.uint64(10 ** 8)
-    x -= high * np.uint64(10 ** 8)
-    quads = np.empty(x.shape + (4,), dtype="<u4")
-    for column, half in ((0, high), (2, x)):
-        top = half // np.uint64(10 ** 4)
-        half -= top * np.uint64(10 ** 4)
-        quads[..., column] = _get(tab["quads"], top)
-        quads[..., column + 1] = _get(tab["quads"], half)
-    return lead.astype(np.uint8), quads.view(np.uint8)
-
-
-def _ryu(bits, exp, tab):
-    """Ryū's shortest digits of normal values below 2^50, their count and
-    point position (the value is 0.DIGITS x 10^point), and whether Ryū's
-    trailing-zero branch applies."""
-    at = np.minimum(exp, np.uint64(_MAX_EXP)).astype(np.intp)
-    fraction = bits & np.uint64((1 << 52) - 1)
-    # Ryū's mmShift is 0 at powers of two above the least normal: the
-    # spacing halves below them.
-    power = (fraction == 0) & (exp > np.uint64(1))
-    m2 = fraction | np.uint64(1 << 52)
-    del fraction
+def _ryu(bits, w, tab):
+    """Ryū's shortest digits (w.c2) of normal values below 2^50, their count
+    (w.length), point (w.point: the value is 0.DIGITS x 10^point), exponent
+    field (w.exp), and whether Ryū's trailing-zero branch applies."""
+    at, m2 = w.exp.view(np.intp), w.m2
+    np.bitwise_and(np.right_shift(bits, 52, out=w.exp), 0x7FF, out=w.exp)
+    np.bitwise_and(bits, (1 << 52) - 1, out=m2)
+    # Ryū's mmShift is 0 at powers of two above the least normal.
+    np.less(w.exp, 2, out=w.up)
+    power = np.flatnonzero(np.greater(np.equal(m2, 0, out=w.go), w.up,
+                                      out=w.go))
+    m2 |= 1 << 52
     # Ryū's vrIsTrailingZeros: 4 m2 has at least q trailing zero bits.
-    trailing = m2 << np.uint64(2) & _get(tab["zeros_mask"], at) == 0
+    np.left_shift(m2, 2, out=w.t)
+    w.t &= _take(tab["zeros_mask"], at, w.k)
+    np.equal(w.t, 0, out=w.trailing)
     # vr, vp and vm are 2 m2 mul, 2 m2 mul + mul and 2 m2 mul - mul (e2 <
     # 0), shifted; at powers of two vm is 2 m2 mul - ceil(mul / 2).
-    m2 <<= np.uint64(1)
-    lo, mid, hi = _product(m2, [_get(limb, at) for limb in tab["limbs"]])
-    del m2
-    mul = _get(tab["mul"][0], at)
-    up = lo > ~mul
-    mul[power] = _get(tab["half"][0], at[power])
-    down = lo < mul
-    del lo
-    mul = _get(tab["mul"][1], at)
-    up_mid = mid + mul
-    up_mid += up
-    mul[power] = _get(tab["half"][1], at[power])
-    down_mid = mid - mul
-    down_mid -= down
-    up = hi + (up_mid < mid)
-    down = hi - (down_mid > mid)
-    shift, unshift = _get(tab["shift"], at), _get(tab["unshift"], at)
-
-    def shifted(high, low):
+    m2 <<= 1
+    limbs = [_take(limb, at, c) for limb, c in zip(
+        tab["limbs"], (w.c0, w.c1, w.c2, w.c3))]
+    _product(m2, limbs, w.lo, w.mid, w.hi, w.nh, w.k, w.t)
+    mul_lo, up_mid, mul_hi, up_hi = limbs
+    mul_lo |= np.left_shift(up_mid, 32, out=w.t)
+    mul_hi |= np.left_shift(up_hi, 32, out=w.t)
+    np.greater(w.lo, np.invert(mul_lo, out=w.t), out=w.up)
+    np.add(w.mid, mul_hi, out=up_mid)
+    up_mid += _count(w.up, w.t)
+    np.add(w.hi, _count(np.less(up_mid, w.mid, out=w.up), w.t), out=up_hi)
+    if power.size:
+        mul_lo[power], mul_hi[power] = tab["half"][:, at[power]]
+    down_mid, down_hi = m2, w.nh
+    np.subtract(w.mid, mul_hi, out=down_mid)
+    down_mid -= _count(np.less(w.lo, mul_lo, out=w.down), w.t)
+    np.greater(down_mid, w.mid, out=w.down)
+    np.subtract(w.hi, _count(w.down, w.t), out=down_hi)
+    shift, unshift = _take(tab["shift"], at, w.k), mul_lo
+    np.subtract(64, shift, out=unshift)
+    for high, low in ((w.hi, w.mid), (up_hi, up_mid), (down_hi, down_mid)):
         high <<= unshift
-        high |= low >> shift
-        return high
-
-    digits, dropped = _shortest(shifted(hi, mid), shifted(up, up_mid),
-                                shifted(down, down_mid))
+        high |= np.right_shift(low, shift, out=w.t)
+    _shortest(w.hi, up_hi, down_hi, w)
     # The point falls after the binade's least point, or one digit later.
-    least = _get(tab["digits_below"], at) - dropped
-    later = digits >= _get(_POW10, least)
-    return digits, least + later, _get(tab["point"], at) + later, trailing
+    later = w.later
+    np.subtract(_take(tab["digits_below"], at, w.length), w.dropped,
+                out=w.length)
+    np.greater_equal(w.c2, _take(_POW10, w.length, w.t), out=w.go)
+    w.length += _count(w.go, later)
+    _take(tab["point"], at, w.point)
+    w.point += later
 
 
-def _split(digits, length, point, cells, tab):
-    """Render the digits into the cells around the point column; the first
-    and past-the-last byte of each value's text, without its sign and
-    separator, and which values are 0.00125-like and which 1.25e-05-like."""
-    integral = (point >= 1) & (point <= 16)            # 12.5, 12000.0
-    fraction = (point >= -3) & (point <= 0)            # 0.00125
-    science = ~(integral | fraction)                   # 1.25e-05
+def _render(x, width, cells, column, w, tab, last=None):
+    """Write the last `width` (4, 8, 12, 16 or 17) decimal digits of each x
+    into cells[..., column:column + width], overwriting x; `last` is added
+    to the quads index of the last four.  Groups gather in w.quads."""
+    q, rest, groups = w.lo, w.mid, width // 4
+    for group in range(groups - 1, -1, -1):             # last four first
+        np.floor_divide(x, 10 ** 4, out=q)
+        np.subtract(x, np.multiply(q, 10 ** 4, out=rest), out=rest)
+        if last is not None and group == groups - 1:
+            rest += last
+        w.quads[:, group] = _take(tab["quads"], rest.view(np.intp),
+                                  w.t.view("<u4")[:x.size])
+        x, q = q, x
+    _put(cells, column + width % 4, w.quads[:, :groups].view(np.uint8))
+    if width % 4:
+        cells[..., column] = np.add(x, ord("0"), out=q).reshape(
+            cells.shape[:-1])
+
+
+def _fill(values, cells, index, work):
+    """Format a pass of values (rows, k) into cells (rows, k, WIDTH) and set
+    their keep rows in index (rows, k), both views of the table's arrays."""
+    tab, w, flat = _tables(), work.views(values.size), values.reshape(-1)
+    _ryu(flat.view(np.uint64), w, tab)
+    digits, length, point, t = w.c2, w.length, w.point, w.t
+    before, after, cut, start, ti = w.before, w.after, w.cut, w.start, w.ti
+    # Zeros, and the values repr takes: those on Ryū's trailing-zero branch,
+    # large or non-finite values and subnormals (their binade spans decades).
+    np.greater_equal(np.subtract(w.exp, 1, out=t), _MAX_EXP, out=w.slow)
+    lane = np.flatnonzero(np.logical_or(w.slow, w.trailing, out=w.slow))
+    digits[lane], length[lane], point[lane] = 0, 1, 1
+    np.left_shift(flat.view(np.uint64), 1, out=t)
+    np.greater(w.slow, np.equal(t, 0, out=w.up), out=w.slow)   # and not zero
+    # 12.5 and 12000.0 have 1 to 16 digits before the point, 0.00125 none;
+    # 1.25e-05 has one.  a - lo as unsigned is below n when lo <= a < lo + n.
+    np.less(np.subtract(point, 1, out=ti).view(np.uint64), 16, out=w.integral)
+    np.less(np.add(point, 3, out=ti).view(np.uint64), 4, out=w.fraction)
+    np.equal(w.integral, w.fraction, out=w.science)     # neither of them
+    np.multiply(point, _count(w.integral, before), out=before)
+    before += _count(w.science, ti)
+    np.maximum(np.subtract(length, before, out=after), 0, out=cut)
     # `whole` goes before the point (right-aligned up to the point column),
-    # `part` after it (left-aligned).
-    before = point * integral + science
-    after = length - before
-    cut = np.maximum(after, 0)
-    scale = _get(_POW10, cut)
-    whole = digits // scale
-    part = (digits - whole * scale) * _get(_POW10, 17 - cut)
-    whole *= _get(_POW10, np.maximum(-after, 0))       # 12000.0
-    shape = cells.shape[:-1]
-    for number, field in ((whole, _POINT - 17), (part, _POINT + 1)):
-        lead, text = _render(number, tab)
-        cells[..., field] = lead.reshape(shape)
-        cells[..., field + 1:field + 17] = text.reshape(shape + (16,))
-    cells[..., _POINT] = ord(".")
-    # 0.00125 has one 0 before its point and takes its other zeros from the
-    # padding of `whole`; 123.0 has one 0 after its point; 1e-05 has none.
-    start = _POINT - before - fraction * (1 - point)
-    stop = (_POINT + 1 + np.maximum(after, 1)
-            - 2 * (science & (length == 1)))
-    return start, stop, fraction, science
-
-
-def _fill(values, cells, keep, flat, base, sep):
-    """Cells and keep rows of a chunk of values, in place.
-
-    values is (rows, columns); cells and keep are their (rows, columns,
-    WIDTH) views into one buffer, flat the buffer's flat cell bytes and base
-    the flat offset of each value's cell; sep is the byte after each value.
-    The work is split over helpers that free their temporaries on return:
-    the heap's peak decides how many pages each pass faults in afresh.
-    """
-    tab = _tables()
-    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
-    exp = (bits >> np.uint64(52)) & np.uint64(0x7FF)
-    digits, length, point, trailing = _ryu(bits, exp, tab)
-    zero = (bits << np.uint64(1)) == 0
-    # Repr takes values on Ryū's trailing-zero branch, large or non-finite
-    # values and subnormals (their binade spans decades).
-    slow = ~zero & ((exp > np.uint64(_MAX_EXP)) | (exp == 0) | trailing)
-    plain = zero | slow
-    digits *= ~plain
-    length[plain] = point[plain] = 1
-    start, stop, fraction, science = _split(digits, length, point, cells, tab)
-
-    lane = np.flatnonzero(fraction)
-    flat[base[lane] + _POINT] = ord("0")
-    flat[base[lane] + _POINT + point[lane]] = ord(".")
-    flat[base + stop] = sep
-    end = stop + 1
-    lane = np.flatnonzero(science)
-    if lane.size:
-        power = point[lane] - 1
-        wide = np.abs(power) >= 100
-        suffix = np.empty((lane.size, 6), dtype=np.uint8)
-        suffix[:, 0] = ord("e")
-        suffix[:, 1] = ord("+") + 2 * (power < 0)
-        suffix[:, 2:5] = _get(tab["quads"], np.abs(power)).view(
-            np.uint8).reshape(-1, 4)[:, 1:]
-        suffix[:, 5] = sep[lane]
-        suffix[~wide, 2:5] = suffix[~wide, 3:6]
-        at = base[lane] + stop[lane]
-        for k in range(6):
-            flat[at + k] = suffix[:, k]
-        end[lane] += 4 + wide
-    lane = np.flatnonzero(np.signbit(values))
-    start[lane] -= 1
-    flat[base[lane] + start[lane]] = ord("-")
-
-    lane = np.flatnonzero(slow)
+    # `digits` after it (left-aligned).
+    whole = np.floor_divide(digits, _take(_POW10, cut, t), out=w.k)
+    digits -= np.multiply(whole, t, out=t)
+    digits *= _take(_POW10, np.subtract(17, cut, out=cut), t)
+    np.maximum(np.negative(after, out=cut), 0, out=cut)
+    whole *= _take(_POW10, cut, t)                     # 12000.0
+    top = int(whole.max(initial=0))
+    width = next(n for n in (4, 8, 12, 16) if top < 10 ** n)
+    # 0.125 takes its 0 from the padding of `whole`; 0.0125 to 0.000125 take
+    # theirs, and the point, from quads past 10^4, with a 0 in the point
+    # column; 123.0 has one 0 after its point.
+    np.logical_and(w.fraction, np.less(point, 0, out=w.up), out=w.up)
+    last = np.multiply(np.subtract(9999, point, out=cut), _count(w.up, ti),
+                       out=cut)
+    _render(whole, width, cells, _POINT - width, w, tab, last.view(np.uint64))
+    _render(digits, 17, cells, _POINT + 1, w, tab)
+    dot = np.left_shift(w.up.view(np.uint8), 1, out=w.down.view(np.uint8))
+    cells[..., _POINT] = np.add(dot, ord("."), out=dot).reshape(index.shape)
+    np.subtract(1, point, out=start)
+    start *= _count(w.fraction, cut)
+    np.subtract(_POINT, np.add(start, before, out=start), out=start)
+    np.not_equal(w.integral, w.fraction, out=w.up)     # not 1.25e-05
+    stop = np.maximum(after, _count(w.up, cut), out=after)
+    stop += _POINT + 1
+    # The exponent, point - 1, is negative since |v| < 2^50: look up -point.
+    np.negative(point, out=cut)
+    _put(cells, _EXP, _take(tab["exps"], cut, t).view(np.uint8).reshape(
+        -1, 8)[:, :5])
+    kind = _take(tab["kind"], cut, before)     # 0 unless in the exponent form
+    key = np.multiply(_count(np.signbit(flat, out=w.up), cut), 3, out=cut)
+    for size, part in ((1, kind), (_POINT + 1, start), (_EXP + 1, stop)):
+        key *= size
+        key += part
+    lane = np.flatnonzero(w.slow)
     if lane.size:
         # At most 24 bytes: -2.2250738585072014e-308.
-        texts = [repr(v) for v in bits.view(np.float64)[lane].tolist()]
-        size = np.array([len(text) for text in texts])
-        text = np.frombuffer("".join(text.ljust(24) for text in texts)
-                             .encode("ascii"), np.uint8).reshape(-1, 24)
-        flat[base[lane, None] + np.arange(1, 25)] = text
-        flat[base[lane] + 1 + size] = sep[lane]
-        start[lane], end[lane] = 1, size + 2
-    keep[...] = np.take(tab["keep"], start * (WIDTH + 1) + end, axis=0,
-                        mode="clip").reshape(keep.shape)
+        texts = [repr(v) for v in flat[lane].tolist()]
+        rows, cols = np.divmod(lane, cells.shape[1])
+        cells[rows, cols, 1:25] = np.frombuffer("".join(
+            text.ljust(24) for text in texts).encode("ascii"),
+            np.uint8).reshape(-1, 24)
+        key[lane] = [_EXP + 2 + len(text) for text in texts]  # 1 to its end
+    index[...] = key.reshape(index.shape)
 
 
 class CsvText:
     """CSV bytes of tables with a fixed number of rows and columns: a header
     line, then one line per row, values joined by commas, LF line endings.
 
-    The cells are made once and reused by every call.  They hold up to
-    `tables` tables, as many as fit in CHUNK values, so small tables go
-    through `_fill` several at a time.  `lead`, if given, is a first column
-    that every table shares, formatted here once.
+    The cells hold up to `tables` tables, as many as fit in CHUNK values, so
+    small tables share a pass.  `lead`, if given, is a first column that
+    every table shares, formatted here once.  Cells, keep rows, text buffer
+    and workspace are made here and reused by every call.
     """
 
     def __init__(self, rows, columns, tables=1, lead=None):
-        self.rows = rows
-        # A pass has a fixed cost of ~0.45 ms, so small tables share one: an
-        # 8-frame block of 64 points took 1.27 ms against 4.84 ms one table
-        # per pass, and a 101-frame evolve of 64 points 107 against 158 ms
-        # in-process.  At 1,024 points (two tables a pass) the two tie:
-        # example3 evolve 288 against 290 ms (medians of 15, 2 cores).
+        self.rows, self.columns = rows, columns
+        # A pass has a fixed cost, so small tables share one: an 8-frame
+        # block of 64 points took 1.27 ms against 4.84 ms one table a pass.
         self.tables = max(1, min(tables, CHUNK // max(1, rows * columns)))
         first = 0 if lead is None else 1
-        total = first + columns
-        shape = (self.tables * rows, total)
-        self.cells = np.zeros(shape + (WIDTH,), dtype=np.uint8)
-        self.keep = np.zeros(self.cells.shape, dtype=bool)
-        # Flat offset of each cell, and the byte after each value.
-        self.base = np.arange(shape[0] * total).reshape(shape) * WIDTH
-        self.sep = np.full(shape, ord(","), dtype=np.uint8)
-        self.sep[:, -1] = ord("\n")
-        self.values = slice(first, total)
-        if lead is not None:
-            lead = np.tile(np.asarray(lead, dtype=np.float64), self.tables)
-            self._fill(lead.reshape(-1, 1), slice(0, 1))
+        block, total = self.tables * rows, first + columns
+        self.cells = np.zeros((block, total, WIDTH), dtype=np.uint8)
+        self.cells[..., 0], self.cells[..., -1] = ord("-"), ord(",")
+        self.cells[:, -1, -1] = ord("\n")
+        self.index = np.empty((block, total), dtype=np.intp)
+        self.keep = np.empty((rows * total, WIDTH), dtype=bool)
+        self.values = np.empty((self.tables, rows, columns))
+        self.text = np.empty(0, dtype=np.uint8)
+        # Equal passes of whole rows, about CHUNK values each.
+        passes = -(-block * columns // CHUNK) or 1
+        self.work = _Work(-(-block // passes) * columns)
+        if first:
+            lead = np.tile(np.asarray(lead, np.float64), self.tables)
+            self._fill(lead[:, None], slice(0, 1))
 
     def _fill(self, values, columns):
-        step = max(1, CHUNK // values.shape[1])
+        step = max(1, self.work.size // values.shape[1])
         for start in range(0, len(values), step):
             rows = slice(start, min(start + step, len(values)))
             _fill(values[rows], self.cells[rows, columns],
-                  self.keep[rows, columns], self.cells.reshape(-1),
-                  self.base[rows, columns].ravel(),
-                  self.sep[rows, columns].ravel())
+                  self.index[rows, columns], self.work)
+
+    def views(self, header, columns):
+        """CSV texts of T tables: the header line, then the columns, each a
+        (T, rows) array, after the lead column.  The texts are read-only
+        memoryviews of one buffer that the next call overwrites."""
+        header = np.frombuffer(header.encode("ascii") + b"\n", np.uint8)
+        count, size = len(columns[0]), self.rows * self.cells.shape[1] * 25
+        if self.text.size < count * (header.size + size):
+            self.text = np.empty(count * (header.size + size), np.uint8)
+        view, at, out = memoryview(self.text).toreadonly(), 0, []
+        first = self.cells.shape[1] - self.columns
+        for block in range(0, count, self.tables):
+            values = self.values[:min(self.tables, count - block)]
+            np.stack([c[block:block + len(values)] for c in columns], -1,
+                     out=values)
+            self._fill(values.reshape(-1, self.columns), slice(first, None))
+            for k in range(len(values)):
+                rows = slice(k * self.rows, (k + 1) * self.rows)
+                np.take(_tables()["keep"], self.index[rows].reshape(-1),
+                        axis=0, mode="clip", out=self.keep)
+                kept = self.cells[rows].reshape(-1)[self.keep.reshape(-1)]
+                self.text[at:at + header.size] = header
+                at += header.size + kept.size
+                self.text[at - kept.size:at] = kept
+                out.append(view[at - kept.size - header.size:at])
+        return out
 
     def texts(self, header, columns):
-        """CSV bytes of T tables: the header line, then the columns, each a
-        (T, rows) array, after the lead column."""
-        values = np.stack([np.asarray(c, dtype=np.float64) for c in columns],
-                          axis=-1)
-        header = header.encode("ascii") + b"\n"
-        out = []
-        for first in range(0, len(values), self.tables):
-            block = values[first:first + self.tables]
-            rows = len(block) * self.rows
-            self._fill(block.reshape(rows, len(columns)), self.values)
-            keep = self.keep[:rows]
-            text = memoryview(self.cells[:rows][keep])
-            ends = np.cumsum(keep.reshape(len(block), -1).sum(axis=1))
-            out += [header + text[start:end]
-                    for start, end in zip([0, *ends[:-1]], ends)]
-        return out
+        """`views` as bytes, which the next call leaves alone."""
+        return [bytes(text) for text in self.views(header, columns)]
 
 
 def csv_bytes(header, columns):
     """CSV bytes of the header line and the equal-length columns."""
-    table = CsvText(len(columns[0]), len(columns))
-    return table.texts(header, [np.asarray(c)[None] for c in columns])[0]
+    [text] = CsvText(len(columns[0]), len(columns)).texts(
+        header, [np.asarray(c)[None] for c in columns])
+    return text

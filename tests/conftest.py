@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -35,3 +36,10 @@ def random_params():
             kappa0=float(rng.uniform(-math.pi, math.pi)),
         ))
     return out
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped: every worker that a
+    pool forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import tempfile
@@ -24,7 +23,7 @@ from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
                            preset_config)
 from dynosc.csvtext import CsvText
 
-from conftest import EDGE_VALUES
+from conftest import EDGE_VALUES, assert_no_child_left
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -492,9 +491,8 @@ class TestEvolveCommand:
             assert digest.hexdigest() == entry["sha256"]
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the worker pool needs the fork start method")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the worker pool needs os.fork")
 
 
 @needs_fork
@@ -523,7 +521,7 @@ class TestEvolvePool:
         monkeypatch.setattr(cli, "build_packet", in_worker)
         pooled = tmp_path / "pool"
         assert main(["evolve", "--config", str(path), "--out", str(pooled)]) == 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
         monkeypatch.setattr(cli, "build_packet", build_packet)
         serial = tmp_path / "serial"
@@ -554,7 +552,7 @@ class TestEvolvePool:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
         assert len(list(out.iterdir())) == files + 1
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_worker_error_exits_2_and_leaves_nothing(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -580,7 +578,32 @@ class TestEvolvePool:
         raised_in = re.search(r"config error: t > 3 in process (\d+)", err)
         assert int(raised_in.group(1)) != os.getpid()  # raised in a worker
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["serial", "pooled"])
+    def test_timings_leave_the_output_alone(self, tmp_path, capsys,
+                                            monkeypatch, cores):
+        # --timings adds one stderr line, the job count and the seconds of
+        # each step summed over jobs; stdout, frames and manifest stay.
+        path = self.pool_config(tmp_path)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        runs = []
+        for flag in ([], ["--timings"]):
+            out = tmp_path / f"out{len(runs)}"
+            assert main(["evolve", "--config", str(path), "--out", str(out),
+                         *flag]) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out.replace(str(out), "OUT"), captured.err,
+                         {p.name: p.read_bytes() for p in out.iterdir()}))
+        (out, err, files), (timed_out, timed_err, timed_files) = runs
+        assert (timed_out, timed_files) == (out, files)
+        assert err == ""
+        line = re.fullmatch(r"timings: (\d+) job\(s\), evaluate (\S+) s, "
+                            r"format (\S+) s, write (\S+) s "
+                            r"\(summed over jobs\)\n", timed_err)
+        assert int(line.group(1)) == 2 * -(-20 // cli.FRAME_BLOCK)
+        assert all(float(line.group(k)) > 0 for k in (2, 3, 4))
+        assert_no_child_left()
 
     @pytest.mark.parametrize("points,frames", [(1024, 13), (8192, 2)])
     def test_blocks_equal_per_value_repr(self, tmp_path, monkeypatch, points,
@@ -595,20 +618,8 @@ class TestEvolvePool:
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert_frames_equal_reference(out, load_config(path))
-
-
-@needs_fork
-def test_ordered_map_keeps_job_order_over_many_jobs(monkeypatch):
-    # 600 jobs on 2 workers come back in job order, each run in a worker.
-    parent = os.getpid()
-    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
-    jobs = list(range(600))
-    with pool.ordered_map(lambda j: (j * j, os.getpid() != parent),
-                          jobs) as results:
-        assert list(results) == [(j * j, True) for j in jobs]
-    assert multiprocessing.active_children() == []
 
 
 def swap_functions(monkeypatch, module, replace):
@@ -672,7 +683,7 @@ class TestVerifyPool:
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
         measured_in_workers(monkeypatch)
         pooled = main(["verify", *argv]), capsys.readouterr()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert pooled[0] == serial[0]
         assert pooled[1].out == serial[1].out
         assert pooled[1].err == serial[1].err == ""
@@ -687,7 +698,7 @@ class TestVerifyPool:
         err = capsys.readouterr().err
         assert "config error: the state vanishes" in err
         assert "Traceback" not in err
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_battery_worker_error_exits_2(self, capsys, monkeypatch):
         def fails(*args):
@@ -701,7 +712,7 @@ class TestVerifyPool:
                               captured.err)
         assert int(raised_in.group(1)) != os.getpid()
         assert captured.out == ""
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 def reference_csv(header, columns):

@@ -1,17 +1,23 @@
 """The array formatter writes, value for value, what repr(float(v)) writes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynosc import StateSpec, uniform_grid
+from dynosc import StateSpec, csvtext, uniform_grid
 from dynosc.cli import build_packet
 from dynosc.config import preset_config
 from dynosc.csvtext import CHUNK, CsvText, csv_bytes
 
 from conftest import EDGE_VALUES
+
+try:
+    import resource
+except ImportError:             # not on Windows
+    resource = None
 
 
 def per_value(header, columns):
@@ -99,7 +105,8 @@ def test_across_the_chunk_boundary(size):
 @pytest.mark.parametrize("rows,tables", [(300, 4), (16, 300), (3000, 3)])
 def test_lead_column_and_reused_cells(rows, tables):
     # Several tables per pass of the cells (16 rows), one (300 rows), or
-    # one table over several passes (3,000 rows of 2 columns).
+    # one table of 3,000 rows (6,000 values: one pass; the next test cuts
+    # tables into passes).
     rng = np.random.default_rng(rows)
     grid = np.linspace(-12.0, 12.0, rows)
     table = CsvText(rows, 2, tables, lead=grid)
@@ -109,6 +116,52 @@ def test_lead_column_and_reused_cells(rows, tables):
         assert table.texts("x,a,b", columns) == [
             per_value("x,a,b", [grid, columns[0][k], columns[1][k]])
             for k in range(tables)]
+
+
+# Values of each layout and each lane that takes repr, by generator.
+LAYOUTS = {
+    "positional": lambda rng, n: (rng.uniform(1.0, 10.0, n)
+                                  * 10.0 ** rng.integers(0, 15, n)),
+    "0.00x": lambda rng, n: rng.uniform(1e-4, 1.0, n),
+    "scientific": lambda rng, n: (rng.uniform(1.0, 10.0, n)
+                                  * 10.0 ** rng.integers(-307, -4, n)),
+    "negative": lambda rng, n: -rng.uniform(0.0, 10.0, n) * 10.0 ** (
+        rng.integers(-12, 12, n)),
+    "zero": lambda rng, n: rng.choice([0.0, -0.0], n),
+    "subnormal": lambda rng, n: np.ldexp(
+        rng.integers(-2 ** 52, 2 ** 52, n).astype(float), -1074),
+    "2^50 and up": lambda rng, n: rng.choice([-1.0, 1.0], n) * np.ldexp(
+        rng.uniform(1.0, 2.0, n), rng.integers(50, 1024, n)),
+    "inf/nan": lambda rng, n: rng.choice([math.inf, -math.inf, math.nan], n),
+    # Integers and quarters all end on Ryū's trailing-zero branch.
+    "trailing zeros": lambda rng, n: rng.integers(-2 ** 20, 2 ** 20, n) / 4.0,
+}
+
+
+@pytest.mark.parametrize("rows,tables", [(7, 3), (45, 1)])
+def test_layouts_switch_between_calls(monkeypatch, rows, tables):
+    # Every ordered pair of layouts follows in two calls through one table,
+    # so a byte that one layout leaves in a cell shows if the next selects
+    # it unwritten.  With CHUNK at 64, 7 rows of 2 columns share a pass
+    # three tables at a time, and 45 rows take passes of 23 and 22 rows.
+    monkeypatch.setattr(csvtext, "CHUNK", 64)
+    rng = np.random.default_rng(rows)
+    grid = np.linspace(-12.0, 12.0, rows)
+    table = CsvText(rows, 2, tables, lead=grid)
+
+    def check(*names, count=tables):
+        columns = [LAYOUTS[names[k % len(names)]](rng, (count, rows))
+                   for k in range(2)]
+        assert table.texts("x,a,b", columns) == [
+            per_value("x,a,b", [grid, columns[0][k], columns[1][k]])
+            for k in range(count)]
+
+    for first in LAYOUTS:
+        for second in LAYOUTS:
+            check(first)
+            check(second)
+    check(*LAYOUTS, count=2 * tables + 1)       # a shorter last block
+    check("positional", "inf/nan", count=max(1, tables - 1))
 
 
 def example3_block():
@@ -121,24 +174,57 @@ def example3_block():
     return header, grid, columns
 
 
-def format_block(header, grid, columns):
-    return CsvText(grid.size, 3, len(columns[0]), lead=grid).texts(
-        header, columns)
-
-
 def repr_block(header, grid, columns):
     return [per_value(header, [grid, *(c[k] for c in columns)])
             for k in range(len(columns[0]))]
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.skipif(resource is None or sys.platform != "linux",
+                    reason="counts Linux minor faults (glibc's allocator)")
+def test_warm_call_faults_in_no_pages():
+    # Every buffer of a call is made with the table and reused: a warmed
+    # call on an 8-frame example3 block faults in no page afresh (a pass
+    # that allocates its temporaries faults in ~800 pages a call).
+    header, grid, columns = example3_block()
+    table = CsvText(grid.size, 3, len(columns[0]), lead=grid)
+    table.views(header, columns)
+    faults = []
+    for _ in range(3):
+        before = minor_faults()
+        table.views(header, columns)
+        faults.append(minor_faults() - before)
+    assert min(faults) < 100, faults
+
+
 @pytest.mark.skipif("not config.pluginmanager.hasplugin('benchmark')",
                     reason="the benchmark fixture comes from pytest-benchmark")
-@pytest.mark.parametrize("formatter", [format_block, repr_block],
-                         ids=["csvtext", "repr"])
+@pytest.mark.parametrize("formatter", ["csvtext", "repr"])
 def test_format_block_speed(benchmark, formatter):
-    # One 8-frame example3 block, the size of an evolve job; the saved
-    # benchmark gives the cost per value.  No speed is asserted.
+    # One 8-frame example3 block, the size of an evolve job, through a
+    # warmed table as an evolve worker reuses it; the saved benchmark gives
+    # the cost per value and the minor faults of each call.  No speed is
+    # asserted.
     header, grid, columns = example3_block()
+    if formatter == "csvtext":
+        table = CsvText(grid.size, 3, len(columns[0]), lead=grid)
+        table.views(header, columns)
+        format_block = table.views
+    else:
+        def format_block(header, columns):
+            return repr_block(header, grid, columns)
+    faults = []
+
+    def call(*args):
+        before = minor_faults() if resource else 0
+        texts = format_block(*args)
+        faults.append(minor_faults() - before if resource else None)
+        return texts
+
     benchmark.extra_info["values"] = grid.size * 4 * len(columns[0])
-    texts = benchmark.pedantic(formatter, (header, grid, columns), rounds=5)
+    benchmark.extra_info["minor_faults"] = faults
+    texts = benchmark.pedantic(call, (header, columns), rounds=5)
     assert texts == repr_block(header, grid, columns)
