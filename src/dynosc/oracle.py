@@ -15,27 +15,25 @@ tau = -2 gamma are implemented; the residual decides between them (the
 factor-two clock is the one that makes the textbook case the identity map).
 
 The quadrature transform and moments take a (T, N) block of amplitude rows
-on one grid (`dft_momentum_rows`, `quadrature_moment_rows`); `dft_momentum`,
-`idft_position` and `quadrature_moment` are their one-frame calls.  The
-transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP rows at a time
-and applies each strip to every row of the block, so a call holds one strip
-(1 MiB at 1,024 points) beside the rows, but builds the whole kernel again:
-callers pass all of their rows in one call.  Every row goes through its own
-matrix-vector products, so a block gives the same bits as one call per frame.
-Callers evaluate long runs of times with `psi_rows`, in blocks of at most
+on one grid, or one (N,) row (`dft_momentum_rows`, `quadrature_moment_rows`).
+The transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP rows at a
+time and applies each strip to every row of the block, so a call holds one
+strip (1 MiB at 1,024 points) beside the rows, but builds the whole kernel
+again: callers pass all of their rows in one call.  Every row goes through its
+own matrix-vector products, so a block gives the same bits as one call per
+row.  Callers evaluate long runs of times with `psi_rows`, in blocks of at most
 BLOCK_SAMPLES samples.  `split_step_propagate` likewise maps an (N,) row or a
 (T, N) block of position amplitudes on a grid to an array of the same shape.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .flows import flow
-from .states import MOMENTUM, POSITION, WaveFrame, check_grid, eval_psi
+from .states import check_grid, eval_psi
 from .stencils import diff2, interior, l2_norm
 
 MINUS_GAMMA = "minus_gamma"
@@ -65,62 +63,20 @@ class PrecisionWarning(UserWarning):
     """A quadrature precondition is marginal; the result may lose accuracy."""
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Relative residual norms from one substitution check."""
-
-    l2_relative: float
-    linf_relative: float
-    grid_points: int
-    dt: float
-
-    def __post_init__(self):
-        if self.l2_relative < 0 or self.linf_relative < 0:
-            raise ValueError("residual norms must be non-negative")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        bound = self.linf_relative * math.sqrt(self.grid_points)
-        if self.l2_relative > bound * (1.0 + 1e-9):
-            raise ValueError("norm inequality violated: l2 > linf * sqrt(N)")
-
-
-@dataclass(frozen=True, eq=False)
-class ComovingFrame:
-    """Samples of chi on the comoving grid xi = beta x + eps."""
-
-    xi_grid: np.ndarray
-    tau: float
-    chi: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi_grid, dtype=float)
-        chi = np.asarray(self.chi, dtype=complex)
-        if xi.ndim != 1 or not np.all(np.diff(xi) > 0):
-            raise DomainError("xi_grid must be 1-D and strictly increasing")
-        if chi.shape != xi.shape:
-            raise DomainError("chi must match xi_grid point for point")
-        object.__setattr__(self, "xi_grid", xi)
-        object.__setattr__(self, "chi", chi)
-
-
-def _relative_norms(residual, reference, dx):
-    res = interior(residual)
-    ref = interior(reference)
-    ref_l2 = l2_norm(ref, dx)
-    # A zero L2 norm also covers a zero maximum: every sample underflowed.
+def _relative_l2(residual, reference, dx):
+    ref_l2 = l2_norm(interior(reference), dx)
+    # Zero when every sample underflowed.
     if ref_l2 == 0:
         raise DomainError("the state vanishes on the interior grid")
-    l2 = l2_norm(res, dx) / ref_l2
-    linf = float(np.max(np.abs(res)) / np.max(np.abs(ref)))
-    return l2, linf, res.size
+    return l2_norm(interior(residual), dx) / ref_l2
 
 
 def schrodinger_residual(spec, grid, t, dt=1e-4):
     """Residual of 2i psi_t + psi_xx - x^2 psi on closed-form samples.
 
-    psi_t is the 2nd-order central difference of closed-form frames at
-    t +- dt; psi_xx is the 4th-order stencil.  Norms are relative to psi and
-    exclude the boundary margin.
+    psi_t is the 2nd-order central difference of closed-form samples at
+    t +- dt; psi_xx is the 4th-order stencil.  Returns the L2 norm relative
+    to psi, without the boundary margin.
     """
     if not dt > 0:
         raise DomainError("dt must be positive")
@@ -129,8 +85,7 @@ def schrodinger_residual(spec, grid, t, dt=1e-4):
     psi, after, before = eval_psi(spec, x, (t, t + dt, t - dt))
     psi_t = (after - before) / (2.0 * dt)
     residual = 2j * psi_t + diff2(psi, dx) - x * x * psi
-    l2, linf, npts = _relative_norms(residual, psi, dx)
-    return ResidualReport(l2, linf, npts, dt)
+    return _relative_l2(residual, psi, dx)
 
 
 def psi_rows(spec, grid, times):
@@ -168,7 +123,7 @@ def _quadrature_transform(grid, rows, phase):
     weights = np.full(grid.size, dx)
     weights[0] = weights[-1] = 0.5 * dx
     weighted = weights * rows
-    out = np.empty_like(weighted)
+    out = np.empty(weighted.shape, dtype=complex)
     pairs = list(zip(out.reshape(-1, grid.size),
                      weighted.reshape(-1, grid.size)))
     buffer = np.empty((KERNEL_STRIP + 1, grid.size), dtype=complex)
@@ -186,10 +141,13 @@ def _quadrature_transform(grid, rows, phase):
 
 
 def dft_momentum_rows(grid, rows):
-    """dft_momentum of each row of a (T, N) position-amplitude block on
-    grid, or of one (N,) row.
+    """Quadrature Fourier transform to the momentum representation of each
+    row of a (T, N) position-amplitude block on grid, or of one (N,) row.
 
-    Insufficient boundary decay of any row triggers one PrecisionWarning.
+    a(p) = (2 pi)^{-1/2} integral e^{-ipx} psi(x) dx by trapezoid sums.  The
+    momentum grid reuses the position grid values, which covers the momentum
+    support of every preset.  Insufficient boundary decay of any row
+    triggers one PrecisionWarning rather than an error.
     """
     edges = np.abs(rows[..., (0, -1)]) ** 2
     if edges.max() > DFT_DECAY_THRESHOLD:
@@ -197,28 +155,6 @@ def dft_momentum_rows(grid, rows):
             "boundary density exceeds 1e-12; momentum samples lose accuracy",
             PrecisionWarning, stacklevel=2)
     return _quadrature_transform(grid, rows, -1j)
-
-
-def dft_momentum(frame):
-    """Quadrature Fourier transform to the momentum representation.
-
-    a(p) = (2 pi)^{-1/2} integral e^{-ipx} psi(x) dx by trapezoid sums.  The
-    momentum grid reuses the position grid values, which covers the momentum
-    support of every preset.  Insufficient boundary decay triggers a
-    PrecisionWarning rather than an error.
-    """
-    if frame.representation != POSITION:
-        raise DomainError("dft_momentum expects a position-representation frame")
-    amps = dft_momentum_rows(frame.grid, frame.amplitudes)
-    return WaveFrame(MOMENTUM, frame.t, frame.grid, amps)
-
-
-def idft_position(frame):
-    """Inverse transform (kernel e^{+ipx}/sqrt(2 pi)) back to position."""
-    if frame.representation != MOMENTUM:
-        raise DomainError("idft_position expects a momentum-representation frame")
-    amps = _quadrature_transform(frame.grid, frame.amplitudes, 1j)
-    return WaveFrame(POSITION, frame.t, frame.grid, amps)
 
 
 def split_step_propagate(grid, rows, t_final, steps):
@@ -265,7 +201,8 @@ def split_step_propagate(grid, rows, t_final, steps):
 
 
 def comoving_frame(spec, t, tau_convention):
-    """Reconstruct chi(xi, tau) from the closed-form state at time t."""
+    """Reconstruct chi(xi, tau) from the closed-form state at time t: the
+    comoving grid xi = beta x + eps, the time tau and the samples of chi."""
     if tau_convention not in _TAU_CONVENTIONS:
         raise DomainError(f"tau convention must be one of {_TAU_CONVENTIONS}")
     xi = np.linspace(-10.0, 10.0, 2048)
@@ -274,7 +211,7 @@ def comoving_frame(spec, t, tau_convention):
     strip = np.exp(-1j * ((st.alpha * x + st.delta) * x + st.kappa))
     chi = math.sqrt(st.mu) * strip * eval_psi(spec, x, t)
     factor = -1.0 if tau_convention == MINUS_GAMMA else -2.0
-    return ComovingFrame(xi, factor * st.gamma, chi)
+    return xi, factor * st.gamma, chi
 
 
 def comoving_residual(spec, t, tau_convention):
@@ -282,21 +219,20 @@ def comoving_residual(spec, t, tau_convention):
 
     chi_tau is formed by the chain rule: closed-form reconstructions at
     t +- 1e-5 divided by the tau increment of the chosen convention.
+    Returns the L2 norm relative to chi, without the boundary margin.
     """
     dt = 1e-5
-    before = comoving_frame(spec, t - dt, tau_convention)
-    here = comoving_frame(spec, t, tau_convention)
-    after = comoving_frame(spec, t + dt, tau_convention)
-    dtau = after.tau - before.tau
+    _, tau_before, chi_before = comoving_frame(spec, t - dt, tau_convention)
+    xi, _, chi = comoving_frame(spec, t, tau_convention)
+    _, tau_after, chi_after = comoving_frame(spec, t + dt, tau_convention)
+    dtau = tau_after - tau_before
     if abs(dtau) < 1e-14:
         raise DomainError(
             "comoving clock is stationary at this t; resample elsewhere")
-    chi_tau = (after.chi - before.chi) / dtau
-    xi = here.xi_grid
+    chi_tau = (chi_after - chi_before) / dtau
     dxi = float(xi[1] - xi[0])
-    residual = 2j * chi_tau + diff2(here.chi, dxi) - xi * xi * here.chi
-    l2, linf, npts = _relative_norms(residual, here.chi, dxi)
-    return ResidualReport(l2, linf, npts, dt)
+    residual = 2j * chi_tau + diff2(chi, dxi) - xi * xi * chi
+    return _relative_l2(residual, chi, dxi)
 
 
 def quadrature_moment_rows(grid, rows):
@@ -310,11 +246,3 @@ def quadrature_moment_rows(grid, rows):
         raise DomainError("the state vanishes on the grid")
     return tuple(np.trapezoid(grid ** power * density, dx=dx, axis=-1) / total
                  for power in (1, 2))
-
-
-def quadrature_moment(frame, power):
-    """Trapezoid <x^power> (or <p^power>) of the frame's density, power <= 2."""
-    if power not in (0, 1, 2):
-        raise DomainError("power must be 0, 1 or 2")
-    moments = quadrature_moment_rows(frame.grid, frame.amplitudes)
-    return 1.0 if power == 0 else float(moments[power - 1])

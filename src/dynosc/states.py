@@ -61,53 +61,14 @@ def check_grid(grid):
         raise DomainError("grid must be uniformly spaced")
 
 
-@dataclass(frozen=True, eq=False)
-class WaveFrame:
-    """Complex amplitude samples on a uniform grid at one time, held as
-    read-only copies of the arrays passed in."""
-
-    representation: str
-    t: float
-    grid: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.representation not in (POSITION, MOMENTUM):
-            raise DomainError(
-                f"representation must be {POSITION!r} or {MOMENTUM!r}")
-        grid = np.array(self.grid, dtype=float)
-        amps = np.array(self.amplitudes, dtype=complex)
-        check_grid(grid)
-        if amps.shape != grid.shape:
-            raise DomainError("amplitudes must match the grid point for point")
-        if not np.isfinite(amps).all():
-            raise DomainError("amplitudes must be finite")
-        for name, values in (("grid", grid), ("amplitudes", amps)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-
-    @property
-    def dx(self):
-        return float(self.grid[1] - self.grid[0])
-
-    def density(self):
-        """|amplitude|^2 samples."""
-        return np.abs(self.amplitudes) ** 2
-
-    def norm(self):
-        """Trapezoid L2 norm of the sampled amplitudes."""
-        return float(np.sqrt(np.trapezoid(self.density(), dx=self.dx)))
-
-    def with_amplitudes(self, amplitudes):
-        """Same grid and tag, new amplitude samples."""
-        return WaveFrame(self.representation, self.t, self.grid, amplitudes)
-
-
 def uniform_grid(x_min, x_max, points):
     """Uniform sampling grid including both endpoints, checked: DomainError
     also when float64 cannot space the points uniformly."""
     if not (x_min < x_max) or points < MIN_GRID_POINTS:
         raise DomainError(f"need x_min < x_max and at least {MIN_GRID_POINTS} points")
+    # np.linspace forms x_max - x_min and would spread an overflow into NaNs.
+    if not math.isfinite(float(x_max) - float(x_min)):
+        raise DomainError(f"grid span [{x_min}, {x_max}] overflows float64")
     grid = np.linspace(float(x_min), float(x_max), int(points))
     check_grid(grid)
     return grid
@@ -143,15 +104,3 @@ def eval_momentum(spec, p, t):
     """Momentum-representation wavefunction a_n(p, t)."""
     mapped = StateSpec(momentum_params(spec.params), spec.n)
     return eval_psi(mapped, p, t)
-
-
-def sample_frame(spec, representation, grid, t):
-    """Evaluate psi_n or a_n pointwise on a grid and tag the result."""
-    if representation == POSITION:
-        amps = eval_psi(spec, grid, t)
-    elif representation == MOMENTUM:
-        amps = eval_momentum(spec, grid, t)
-    else:
-        raise DomainError(
-            f"representation must be {POSITION!r} or {MOMENTUM!r}")
-    return WaveFrame(representation, float(t), grid, amps)

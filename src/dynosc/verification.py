@@ -13,8 +13,8 @@ sits well below the tolerances):
   * Fourier cross-checks: 1024 points on [-14, 14].
   * Propagation: 1024 points on [-12, 12], 4096 steps to t = 1.
 
-Every check runs on arrays, never on WaveFrames: a (T, N) block of samples
-per state, with the flowed parameters as (T, 1) columns.
+Every check runs on a (T, N) block of samples per state, with the flowed
+parameters as (T, 1) columns.
 """
 
 import functools
@@ -98,8 +98,7 @@ def _random_params(count):
 # -- criterion 1: the closed form satisfies the evolution equation ----------
 
 def _worst_residual(spec, grid, dt=RESIDUAL_DT):
-    return max(schrodinger_residual(spec, grid, t, dt).l2_relative
-               for t in EIGHT_TIMES)
+    return max(schrodinger_residual(spec, grid, t, dt) for t in EIGHT_TIMES)
 
 
 def family_exactness():
@@ -392,8 +391,7 @@ def independent_propagation():
 # -- criterion 10: comoving-frame adjudication --------------------------------
 
 def _worst_comoving(spec, convention, times):
-    return max(comoving_residual(spec, t, convention).l2_relative
-               for t in times)
+    return max(comoving_residual(spec, t, convention) for t in times)
 
 
 def _one_convention(worst_by_convention):
@@ -433,11 +431,11 @@ def convergence_orders():
     spec = StateSpec(preset_config("schrodinger").params, 2)
     coarse = schrodinger_residual(spec, uniform_grid(-8, 8, 512), 0.7, 1e-6)
     fine = schrodinger_residual(spec, uniform_grid(-8, 8, 1024), 0.7, 1e-6)
-    spatial = coarse.l2_relative / fine.l2_relative
+    spatial = coarse / fine
     grid = uniform_grid(-8, 8, 4096)
     big = schrodinger_residual(spec, grid, 0.7, 1e-2)
     small = schrodinger_residual(spec, grid, 0.7, 5e-3)
-    temporal = big.l2_relative / small.l2_relative
+    temporal = big / small
     return [
         _within("spatial_refinement_ratio[4th order]", spatial, 12.0, 20.0),
         _within("temporal_refinement_ratio[2nd order]", temporal, 3.5, 4.5),

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import FunctionType, SimpleNamespace
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dynosc import (MOMENTUM, POSITION, ConfigError, DomainError,
-                    PrecisionWarning, StateSpec, sample_frame, uniform_grid)
+from dynosc import (ConfigError, DomainError, PrecisionWarning, StateSpec,
+                    eval_momentum, eval_psi, uniform_grid)
 from dynosc import cli, pool
 from dynosc import verification as ver
 from dynosc.cli import main
@@ -24,6 +26,8 @@ from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
 from dynosc.csvtext import CsvText
 
 from conftest import EDGE_VALUES, assert_no_child_left
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -784,13 +788,13 @@ def assert_frames_equal_reference(out, config):
                         config.grid.points)
     expected = []
     for index, t in enumerate(config.time.times(), start=1):
-        for prefix, representation, header in (
-                ("position", POSITION, "x,density,re_psi,im_psi"),
-                ("momentum", MOMENTUM, "p,density,re_a,im_a")):
-            frame = sample_frame(spec, representation, grid, t)
+        for prefix, evaluate, header in (
+                ("position", eval_psi, "x,density,re_psi,im_psi"),
+                ("momentum", eval_momentum, "p,density,re_a,im_a")):
+            amplitudes = evaluate(spec, grid, t)
             text = reference_csv(header, (
-                frame.grid, frame.density(), frame.amplitudes.real,
-                frame.amplitudes.imag))
+                grid, np.abs(amplitudes) ** 2, amplitudes.real,
+                amplitudes.imag))
             name = f"{prefix}_{index:04d}.csv"
             assert (out / name).read_bytes() == text.encode("ascii"), name
             expected.append({"index": index, "t": t, "file": name,
@@ -1008,6 +1012,26 @@ class TestUnrepresentableData:
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["evolve", "--out", "out"],
+                                      ["moments", "--check"]],
+                             ids=["evolve", "moments-check"])
+    def test_overflowing_grid_span(self, tmp_path, argv):
+        # Each bound is a float64, but x_max - x_min overflows.  In a fresh
+        # process, so that a NumPy warning would show on stderr.
+        path = write_config(tmp_path, grid={"x_min": -1e308, "x_max": 1e308})
+        run = subprocess.run(
+            [sys.executable, "-m", "dynosc.cli", *argv, "--config", str(path)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})
+        assert run.returncode == 2
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "span" in lines[0]
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestGoldenFrames:

@@ -1,18 +1,16 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dynosc import (DomainError, MOMENTUM, OscillatorParams, POSITION,
-                    StateSpec, WaveFrame, classical_moments, dft_momentum,
-                    eval_momentum, eval_psi, eval_psi_invariant_frame, flow,
-                    hermite, hermite_function, quadrature_moment,
-                    sample_frame, uniform_grid)
-from dynosc import pool, verification
-from dynosc.cli import main
-from dynosc.config import preset_config
+from dynosc import (DomainError, OscillatorParams, StateSpec,
+                    classical_moments, dft_momentum_rows, eval_momentum,
+                    eval_psi, eval_psi_invariant_frame, flow, hermite,
+                    hermite_function, psi_rows, quadrature_moment_rows,
+                    uniform_grid)
+from dynosc.states import check_grid
+from dynosc.stencils import l2_norm
 
 SCHRODINGER = OscillatorParams(mu0=1.0, beta0=1.0)
 EXAMPLE1 = OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0)
@@ -21,6 +19,17 @@ MINUNCERT = OscillatorParams(mu0=0.64 ** -0.25, alpha0=0.3, beta0=0.64 ** 0.25)
 
 X = uniform_grid(-12.0, 12.0, 1024)
 TIMES = [2.0 * math.pi * k / 8.0 for k in range(8)]
+
+
+def norm(grid, amplitudes):
+    """Trapezoid L2 norm of samples on a uniform grid."""
+    return l2_norm(amplitudes, float(grid[1] - grid[0]))
+
+
+def moments(grid, amplitudes):
+    """Quadrature mean and variance of |amplitudes|^2 on grid."""
+    first, second = quadrature_moment_rows(grid, amplitudes)
+    return first, second - first ** 2
 
 
 class TestEvalPsi:
@@ -108,16 +117,17 @@ class TestNormalizationAndOrthogonality:
         grid = uniform_grid(-16.0, 16.0, 4096)
         expected = 1.0 / (params.mu0 * abs(params.beta0))
         for n in (0, 4, 10):
-            for t in (0.0, 1.1, 4.7):
-                frame = sample_frame(StateSpec(params, n), POSITION, grid, t)
-                assert frame.norm() ** 2 == pytest.approx(expected, abs=1e-10)
+            rows = psi_rows(StateSpec(params, n), grid, (0.0, 1.1, 4.7))
+            for row in rows:
+                assert norm(grid, row) ** 2 == pytest.approx(expected,
+                                                             abs=1e-10)
 
     def test_norm_for_random_family(self, random_params):
         grid = uniform_grid(-24.0, 24.0, 6144)
         for params in random_params[:4]:
             expected = 1.0 / (params.mu0 * abs(params.beta0))
-            frame = sample_frame(StateSpec(params, 6), POSITION, grid, 2.2)
-            assert frame.norm() ** 2 == pytest.approx(expected, rel=1e-9)
+            psi = eval_psi(StateSpec(params, 6), grid, 2.2)
+            assert norm(grid, psi) ** 2 == pytest.approx(expected, rel=1e-9)
 
     def test_orthogonality(self):
         grid = uniform_grid(-16.0, 16.0, 4096)
@@ -137,14 +147,13 @@ class TestMomentAgreement:
                                           (MINUNCERT, 2)])
     def test_quadrature_matches_closed_forms(self, params, n):
         grid = uniform_grid(-16.0, 16.0, 2048)
-        for t in (0.0, 0.9, 2.6):
+        times = (0.0, 0.9, 2.6)
+        pos = psi_rows(StateSpec(params, n), grid, times)
+        mom = dft_momentum_rows(grid, pos)
+        for k, t in enumerate(times):
             m = classical_moments(params, n, t)
-            pos = sample_frame(StateSpec(params, n), POSITION, grid, t)
-            mom = dft_momentum(pos)
-            mean_x = quadrature_moment(pos, 1)
-            mean_p = quadrature_moment(mom, 1)
-            var_x = quadrature_moment(pos, 2) - mean_x ** 2
-            var_p = quadrature_moment(mom, 2) - mean_p ** 2
+            mean_x, var_x = moments(grid, pos[k])
+            mean_p, var_p = moments(grid, mom[k])
             assert mean_x == pytest.approx(m.mean_x, abs=1e-8)
             assert mean_p == pytest.approx(m.mean_p, abs=1e-8)
             assert var_x == pytest.approx(m.var_x, abs=1e-8)
@@ -163,136 +172,64 @@ class TestMomentumRepresentation:
         grid = uniform_grid(-14.0, 14.0, 2048)
         spec = StateSpec(EXAMPLE3, 0)
         for t in TIMES:
-            frame = sample_frame(spec, MOMENTUM, grid, t)
-            mean_p = quadrature_moment(frame, 1)
-            var_p = quadrature_moment(frame, 2) - mean_p ** 2
+            _, var_p = moments(grid, eval_momentum(spec, grid, t))
             assert var_p == pytest.approx(
                 (97.0 - 65.0 * math.cos(2.0 * t)) / 144.0, abs=1e-10)
 
     def test_matches_transform_oracle(self):
         grid = uniform_grid(-14.0, 14.0, 1024)
+        dx = float(grid[1] - grid[0])
         for n in (0, 1):
             spec = StateSpec(EXAMPLE3, n)
-            pos = sample_frame(spec, POSITION, grid, 0.0)
-            numeric = dft_momentum(pos)
+            numeric = dft_momentum_rows(grid, eval_psi(spec, grid, 0.0))
             closed = eval_momentum(spec, grid, 0.0)
-            gap = np.sqrt(np.trapezoid(np.abs(numeric.amplitudes - closed) ** 2,
-                                       dx=pos.dx))
+            gap = np.sqrt(np.trapezoid(np.abs(numeric - closed) ** 2, dx=dx))
             assert gap < 1e-8
 
 
 class TestSampleFrame:
     def test_schrodinger_frame_norm(self):
-        frame = sample_frame(StateSpec(SCHRODINGER, 0), POSITION,
-                             uniform_grid(-10.0, 10.0, 512), 0.0)
-        assert frame.norm() == pytest.approx(1.0, abs=1e-10)
+        grid = uniform_grid(-10.0, 10.0, 512)
+        psi = eval_psi(StateSpec(SCHRODINGER, 0), grid, 0.0)
+        assert norm(grid, psi) == pytest.approx(1.0, abs=1e-10)
 
     def test_example1_peak_tracks_center(self):
         grid = uniform_grid(-12.0, 12.0, 512)
-        frame = sample_frame(StateSpec(EXAMPLE1, 0), POSITION, grid,
-                             math.pi / 2.0)
-        peak = grid[int(np.argmax(frame.density()))]
-        assert abs(peak - 1.0) <= frame.dx
+        psi = eval_psi(StateSpec(EXAMPLE1, 0), grid, math.pi / 2.0)
+        peak = grid[int(np.argmax(np.abs(psi) ** 2))]
+        assert abs(peak - 1.0) <= grid[1] - grid[0]
 
     def test_example2_density_is_bimodal_with_node_at_center(self):
         grid = uniform_grid(-12.0, 12.0, 2048)
+        dx = grid[1] - grid[0]
         for t in (0.7, math.pi / 2.0, 2.9):
-            frame = sample_frame(StateSpec(EXAMPLE1, 1), POSITION, grid, t)
             node = math.sin(t)
-            density = frame.density()
+            density = np.abs(eval_psi(StateSpec(EXAMPLE1, 1), grid, t)) ** 2
             assert abs(eval_psi(StateSpec(EXAMPLE1, 1), node, t)) < 1e-13
-            left = density[grid < node - frame.dx]
-            right = density[grid > node + frame.dx]
+            left = density[grid < node - dx]
+            right = density[grid > node + dx]
             floor = density[np.argmin(np.abs(grid - node))]
             assert left.max() > 100 * floor
             assert right.max() > 100 * floor
 
-    def test_momentum_tag(self):
-        frame = sample_frame(StateSpec(EXAMPLE3, 0), MOMENTUM, X, 0.3)
-        assert frame.representation == MOMENTUM
-
-    def test_rejects_unknown_representation(self):
-        with pytest.raises(DomainError):
-            sample_frame(StateSpec(SCHRODINGER, 0), "angle", X, 0.0)
-
     def test_rejects_bad_grids(self):
-        spec = StateSpec(SCHRODINGER, 0)
-        with pytest.raises(DomainError):
-            sample_frame(spec, POSITION, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            sample_frame(spec, POSITION, np.linspace(0, 1, 8), 0.0)
-        with pytest.raises(DomainError):
-            sample_frame(spec, POSITION, np.linspace(1, -1, 64), 0.0)
-        with pytest.raises(DomainError):
-            sample_frame(spec, POSITION, np.sort(np.random.default_rng(0)
-                                                 .uniform(-1, 1, 64)), 0.0)
+        for grid in (np.array(0.5), np.linspace(0, 1, 8),
+                     np.linspace(1, -1, 64),
+                     np.sort(np.random.default_rng(0).uniform(-1, 1, 64))):
+            with pytest.raises(DomainError):
+                check_grid(grid)
+        for bounds in ((0.0, 1.0, 8), (1.0, -1.0, 64), (0.5, 0.5, 64)):
+            with pytest.raises(DomainError):
+                uniform_grid(*bounds)
+
+    def test_rejects_overflowing_span(self):
+        # x_max - x_min overflows, so np.linspace could only give NaNs.
+        with pytest.raises(DomainError, match="span"):
+            uniform_grid(-1e308, 1e308, 64)
 
 
 class TestWaveFrame:
-    def test_grid_is_read_only(self):
-        frame = sample_frame(StateSpec(SCHRODINGER, 0), POSITION, X, 0.0)
-        with pytest.raises(ValueError):
-            frame.grid[0] = 99.0
-
-    def test_caller_arrays_stay_writable_and_apart(self):
-        grid = uniform_grid(-12.0, 12.0, 64)
-        amps = hermite_function(0, grid).astype(complex)
-        frame = WaveFrame(POSITION, 0.0, grid, amps)
-        derived = frame.with_amplitudes(2.0 * amps)
-        assert grid.flags.writeable and amps.flags.writeable
-        grid_before, amps_before = grid.copy(), amps.copy()
-        grid *= 3.0
-        amps[:] = 7.0
-        for held in (frame, derived):
-            assert not held.grid.flags.writeable
-            assert not held.amplitudes.flags.writeable
-            assert np.all(held.grid == grid_before)
-        assert np.all(frame.amplitudes == amps_before)
-        assert np.all(derived.amplitudes == 2.0 * amps_before)
-
-    def test_workload_paths_build_no_frames(self, tmp_path, monkeypatch,
-                                            capsys):
-        # verify, evolve and moments run on arrays; frames are only the
-        # public one-frame calls.  One core, so every job runs here.
-        built = []
-        init = WaveFrame.__post_init__
-
-        def counting(frame):
-            built.append(frame)
-            init(frame)
-
-        monkeypatch.setattr(WaveFrame, "__post_init__", counting)
-        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
-        verification.invariant_spectrum()
-        verification.ladder_algebra()
-        verification.independent_propagation()
-        # Exit 1: its pinned-resolution n = 5 residual is a known red.
-        assert main(["verify", "--preset", "example1"]) in (0, 1)
-        raw = preset_config("example1").to_dict()
-        raw["time"]["frames"] = 3
-        raw["outputs"] = ["position_density", "momentum_density", "moments"]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        assert main(["evolve", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 0
-        assert main(["moments", "--config", str(path), "--check"]) == 0
-        capsys.readouterr()
-        assert built == []
-        sample_frame(StateSpec(SCHRODINGER, 0), POSITION, X, 0.0)
-        assert len(built) == 1
-
-    def test_rejects_mismatched_amplitudes(self):
-        with pytest.raises(DomainError):
-            WaveFrame(POSITION, 0.0, X, np.zeros(10, dtype=complex))
-
-    @pytest.mark.parametrize("value", [
-        np.nan, complex(np.inf, 0.0), complex(0.0, np.nan)],
-        ids=["nan", "inf_real", "nan_imag"])
-    def test_rejects_nonfinite_amplitudes(self, value):
-        amps = np.zeros_like(X, dtype=complex)
-        amps[3] = value
-        with pytest.raises(DomainError):
-            WaveFrame(POSITION, 0.0, X, amps)
+    """Grid validation by `check_grid`, which every grid passes through."""
 
     @pytest.mark.parametrize("index,value", [
         (0, -np.inf), (-1, np.inf), (5, np.nan)],
@@ -301,7 +238,7 @@ class TestWaveFrame:
         grid = X.copy()
         grid[index] = value
         with pytest.raises(DomainError, match="grid"):
-            WaveFrame(POSITION, 0.0, grid, np.zeros_like(X, dtype=complex))
+            check_grid(grid)
 
     @pytest.mark.parametrize("bound", ["upper", "lower"])
     def test_uniformity_verdict_matches_allclose(self, bound):
@@ -317,15 +254,10 @@ class TestWaveFrame:
             expected = np.allclose(np.diff(grid), h, rtol=1e-9,
                                    atol=1e-12 * abs(h))
             try:
-                WaveFrame(POSITION, 0.0, grid, np.zeros(64, dtype=complex))
+                check_grid(grid)
                 accepted = True
             except DomainError:
                 accepted = False
             assert accepted == expected
             verdicts.add(accepted)
         assert verdicts == {True, False}
-
-    def test_dx_and_density(self):
-        frame = sample_frame(StateSpec(SCHRODINGER, 0), POSITION, X, 0.0)
-        assert frame.dx == pytest.approx(24.0 / 1023.0)
-        assert_allclose(frame.density(), np.abs(frame.amplitudes) ** 2)
