@@ -35,7 +35,9 @@ done.  verify sends its criteria in a measured order
 matrix-vector product of the quadrature DFT and take the other worker's
 core, so the criterion with the most DFT rows goes last.  moments --check
 passes its frames to the DFT CHECK_FRAMES at a time; each call builds the
-quadrature kernel once, strip by strip, and never holds it whole.
+quadrature kernel once, strip by strip, and never holds it whole.  moments
+writes its table with repr, which gives csvtext's bytes; only evolve's
+frames load csvtext, and only verify loads the battery (`verification`).
 """
 
 import argparse
@@ -61,7 +63,6 @@ from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, dft_momentum_rows,
 from .pool import WorkerDied, ordered_map
 from .states import (MOMENTUM, POSITION, StateSpec, eval_momentum, eval_psi,
                      uniform_grid)
-from .verification import run_acceptance, scoped_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -84,9 +85,9 @@ FRAME_BLOCK = 8
 
 # Frames that `moments --check` transforms in one call.  Each call builds the
 # whole quadrature kernel, strip by strip (~35 ms at 1,024 points, seconds at
-# 8,192), and holds a few complex copies of its frames (4 MiB each at 256
-# frames of 1,024 points, 32 MiB at 8,192), so the presets' 101 frames take
-# one call and 1,001 frames four.
+# 8,192), and holds its frames and their transforms (4 MiB each at 256
+# frames of 1,024 points, 32 MiB at 8,192) beside one 65-row kernel strip, so
+# the presets' 101 frames take one call and 1,001 frames four.
 CHECK_FRAMES = 256
 
 # Names of the files evolve writes beside manifest.json.
@@ -123,6 +124,8 @@ def build_packet(spec, grid, times, representation):
 
 
 def cmd_verify(args, config):
+    # Imported here, so that moments and evolve never compile the battery.
+    from .verification import run_acceptance, scoped_checks
     if config is not None:
         groups = {"scoped checks": scoped_checks(
             config, args.appendix_b_denominator, args.tau_convention)}
@@ -162,11 +165,11 @@ def _moment_rows(config, check=False):
         quad[2:] -= quad[:2] * quad[:2]
         columns += [np.abs(q - c) / np.maximum(1.0, np.abs(c))
                     for q, c in zip(quad, checked)]
-    # csvtext is imported only where CSVs are written: with no bytecode
-    # cache (PYTHONDONTWRITEBYTECODE) compiling it costs every process ~4 ms
-    # and ~1.8 MB of parser memory, which here reuses the DFT's.
-    from .csvtext import csv_bytes
-    return csv_bytes(header, columns).decode("ascii")
+    # repr writes csvtext's bytes, and for 11 values a row it is no slower
+    # than compiling csvtext and building its tables.
+    lines = np.column_stack(columns).tolist()
+    return header + "\n" + "".join(",".join(map(repr, line)) + "\n"
+                                   for line in lines)
 
 
 def cmd_moments(args, config):

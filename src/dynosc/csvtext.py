@@ -403,9 +403,3 @@ class CsvText:
         """`views` as bytes, which the next call leaves alone."""
         return [bytes(text) for text in self.views(header, columns)]
 
-
-def csv_bytes(header, columns):
-    """CSV bytes of the header line and the equal-length columns."""
-    [text] = CsvText(len(columns[0]), len(columns)).texts(
-        header, [np.asarray(c)[None] for c in columns])
-    return text

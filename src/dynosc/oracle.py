@@ -14,14 +14,17 @@ transformed time tau(t).  Both candidate conventions tau = -gamma and
 tau = -2 gamma are implemented; the residual decides between them (the
 factor-two clock is the one that makes the textbook case the identity map).
 
-The quadrature transform and moments take a (T, N) block of amplitude rows
-on one grid, or one (N,) row (`dft_momentum_rows`, `quadrature_moment_rows`).
-The transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP rows at a
-time and applies each strip to every row of the block, so a call holds one
-strip (1 MiB at 1,024 points) beside the rows, but builds the whole kernel
-again: callers pass all of their rows in one call.  Every row goes through its
-own matrix-vector products, so a block gives the same bits as one call per
-row.  Callers evaluate long runs of times with `psi_rows`, in blocks of at most
+The quadrature transform and moments take a (T, N) block of finite amplitude
+rows on one grid, or one (N,) row (`dft_momentum_rows`,
+`quadrature_moment_rows`), and check both before any arithmetic.  The
+transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP rows at a time
+and applies each strip to every row of the block, weighting the row into one
+reused (N,) scratch just before its product.  So a call holds its result, one
+strip (1 MiB at 1,024 points) and one row beside its input, never a weighted
+copy of the block, but builds the whole kernel again: callers pass all of
+their rows in one call.  Every row goes through its own matrix-vector
+products, so a block gives the same bits as one call per row.  Callers
+evaluate long runs of times with `psi_rows`, in blocks of at most
 BLOCK_SAMPLES samples.  `split_step_propagate` likewise maps an (N,) row or a
 (T, N) block of position amplitudes on a grid to an array of the same shape.
 """
@@ -108,6 +111,17 @@ def _strips(n):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _check_rows(grid, rows):
+    """rows as an array: one (N,) row or a (T, N) block of finite amplitudes
+    on grid."""
+    rows = np.asarray(rows)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != grid.size:
+        raise DomainError("expected (N,) or (T, N) amplitude rows on the grid")
+    if not np.isfinite(rows).all():
+        raise DomainError("amplitudes must be finite")
+    return rows
+
+
 def _quadrature_transform(grid, rows, phase):
     """Trapezoid sums of e^{phase k x} f(x) / sqrt(2 pi) onto the grid, for
     each row f of a (T, N) amplitude block on that grid, or for one (N,) row.
@@ -115,17 +129,18 @@ def _quadrature_transform(grid, rows, phase):
     The kernel exp(phase * outer(k, x)) is built one strip of rows at a time
     into one buffer, and each strip is applied to every row while it is
     still in cache, so the call holds one strip beside the rows, never the
-    N^2 kernel.  One matrix-vector product per strip and row: a strip of two
-    or more rows gives the bits of the same rows of the full `kernel @ f`,
-    while a matrix-matrix product (zgemm) sums in another order.
+    N^2 kernel.  Each row is weighted into one scratch row just before its
+    product, by complex weights, so the multiply casts nothing and gives the
+    bits of `weights * rows`.  One matrix-vector product per strip and row:
+    a strip of two or more rows gives the bits of the same rows of the full
+    `kernel @ f`, while a matrix-matrix product (zgemm) sums in another order.
     """
     dx = float(grid[1] - grid[0])
-    weights = np.full(grid.size, dx)
+    weights = np.full(grid.size, dx, dtype=complex)
     weights[0] = weights[-1] = 0.5 * dx
-    weighted = weights * rows
-    out = np.empty(weighted.shape, dtype=complex)
-    pairs = list(zip(out.reshape(-1, grid.size),
-                     weighted.reshape(-1, grid.size)))
+    out = np.empty(rows.shape, dtype=complex)
+    pairs = list(zip(out.reshape(-1, grid.size), rows.reshape(-1, grid.size)))
+    weighted = np.empty(grid.size, dtype=complex)
     buffer = np.empty((KERNEL_STRIP + 1, grid.size), dtype=complex)
     for strip in _strips(grid.size):
         kernel = buffer[:strip.stop - strip.start]
@@ -133,7 +148,8 @@ def _quadrature_transform(grid, rows, phase):
         kernel *= phase
         np.exp(kernel, out=kernel)
         for row, values in pairs:
-            np.matmul(kernel, values, out=row[strip])
+            np.multiply(weights, values, out=weighted)
+            np.matmul(kernel, weighted, out=row[strip])
     out /= math.sqrt(2.0 * math.pi)
     if not np.isfinite(out).all():
         raise DomainError("amplitudes must be finite")
@@ -149,6 +165,7 @@ def dft_momentum_rows(grid, rows):
     support of every preset.  Insufficient boundary decay of any row
     triggers one PrecisionWarning rather than an error.
     """
+    rows = _check_rows(grid, rows)
     edges = np.abs(rows[..., (0, -1)]) ** 2
     if edges.max() > DFT_DECAY_THRESHOLD:
         warnings.warn(
@@ -239,6 +256,7 @@ def quadrature_moment_rows(grid, rows):
     """Trapezoid <x> and <x^2> (or <p>, <p^2>) of the density of each row of
     a (T, N) amplitude block on grid, two arrays of T moments; two scalars
     for one (N,) row."""
+    rows = _check_rows(grid, rows)
     dx = float(grid[1] - grid[0])
     density = np.abs(rows) ** 2
     total = np.trapezoid(density, dx=dx, axis=-1)

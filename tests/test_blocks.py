@@ -146,6 +146,20 @@ class TestStripKernel:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_block_memory_is_its_result_and_one_strip(self):
+        # A call holds its result and one strip buffer, and no weighted copy
+        # of its rows (which would add the size of the result again).
+        grid = uniform_grid(-12.0, 12.0, 1024)
+        block = decaying_rows(grid, 64)
+        tracemalloc.start()
+        try:
+            out = oracle.dft_momentum_rows(grid, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        strip = (oracle.KERNEL_STRIP + 1) * grid.size * 16
+        assert peak <= out.nbytes + strip + out.nbytes // 4
+
 
 class TestRowTransforms:
     def test_block_rows_equal_frame_calls(self, presets):

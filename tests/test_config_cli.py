@@ -239,6 +239,46 @@ class TestMomentsCommand:
         assert "config error" in capsys.readouterr().err
 
 
+# Runs cli.main on its arguments, output discarded, then prints its exit code
+# and which of dynosc.verification and dynosc.csvtext it loaded.
+FOOTPRINT = """
+import contextlib, io, sys
+from dynosc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *(name for name in ("dynosc.verification", "dynosc.csvtext")
+              if name in sys.modules))
+"""
+
+
+def loaded_modules(argv, cwd):
+    """The exit code and the footprint modules that `dynosc argv` loads, in a
+    fresh process, since this one has imported every module."""
+    run = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv], cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})
+    assert run.stderr == ""
+    code, *modules = run.stdout.split()
+    return int(code), modules
+
+
+class TestImportFootprint:
+    """Each command compiles only the modules it uses."""
+
+    def test_moments_check_loads_neither_battery_nor_formatter(self, tmp_path):
+        assert loaded_modules(["moments", "--preset", "example3", "--check"],
+                              tmp_path) == (0, [])
+
+    def test_evolve_does_not_load_the_battery(self, tmp_path):
+        path = write_config(tmp_path, outputs=["position_density", "moments"])
+        code, modules = loaded_modules(
+            ["evolve", "--config", str(path), "--out", "out"], tmp_path)
+        assert code == 0 and "dynosc.verification" not in modules
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
+
 class TestEvolveCommand:
     def test_deterministic_output(self, tmp_path):
         path = write_config(tmp_path, grid={"points": 64})

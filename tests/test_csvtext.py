@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dynosc import StateSpec, csvtext, uniform_grid
 from dynosc.cli import build_packet
 from dynosc.config import preset_config
-from dynosc.csvtext import CHUNK, CsvText, csv_bytes
+from dynosc.csvtext import CHUNK, CsvText
 
 from conftest import EDGE_VALUES
 
@@ -29,7 +29,8 @@ def per_value(header, columns):
 
 def assert_same(values):
     values = np.asarray(values, dtype=np.float64)
-    got = csv_bytes("v", [values]).split(b"\n")
+    [text] = CsvText(values.size, 1).texts("v", [values[None]])
+    got = text.split(b"\n")
     want = per_value("v", [values]).split(b"\n")
     bad = [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b]
     assert not bad, bad[:5]
@@ -99,7 +100,8 @@ def test_across_the_chunk_boundary(size):
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
     assert_same(values)
     columns = [values, values[::-1], -values]
-    assert csv_bytes("a,b,c", columns) == per_value("a,b,c", columns)
+    assert CsvText(size, 3).texts("a,b,c", [c[None] for c in columns]) == [
+        per_value("a,b,c", columns)]
 
 
 @pytest.mark.parametrize("rows,tables", [(300, 4), (16, 300), (3000, 3)])

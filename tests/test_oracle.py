@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,41 @@ class TestQuadratureMoment:
             quadrature_moment_rows(x, psi)
         with pytest.raises(DomainError, match="vanishes"):
             quadrature_moment_rows(x, np.stack([hermite_function(0, x), psi]))
+
+
+@pytest.mark.parametrize("transform", [dft_momentum_rows,
+                                       quadrature_moment_rows])
+class TestRowChecks:
+    """Both row calls check their rows before any arithmetic, so a bad row
+    is a DomainError, never a NumPy error or warning."""
+
+    def test_rejects_rows_off_the_grid(self, transform):
+        x = uniform_grid(-12.0, 12.0, 1024)
+        for rows in (np.zeros(10, dtype=complex),
+                     np.zeros((2, 1023), dtype=complex),
+                     np.zeros((2, 2, 1024), dtype=complex), 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="amplitude rows"):
+                    transform(x, rows)
+
+    @pytest.mark.parametrize("value", [complex(math.inf, 0.0),
+                                       complex(0.0, -math.inf),
+                                       complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("at", [0, 500], ids=["boundary", "interior"])
+    def test_rejects_non_finite_samples(self, transform, value, at):
+        # On the boundary the sample would also trigger the decay warning.
+        x = uniform_grid(-12.0, 12.0, 1024)
+        rows = np.stack([hermite_function(n, x) for n in (0, 1)]).astype(
+            complex)
+        rows[1, at] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="amplitudes must be finite"):
+                transform(x, rows)
+            with pytest.raises(DomainError, match="amplitudes must be finite"):
+                transform(x, rows[1])
+
 
 class TestOracleTriangle:
     def test_propagator_and_residual_agree_on_exactness(self):
