@@ -30,14 +30,16 @@ manifest.json last.  So a failed run leaves the earlier one whole, two runs
 into one directory never share a file, and the bytes do not depend on the
 number of workers.  A worker that dies ends the run with exit 3.  A killed
 run leaves its staging directory behind; its workers exit once their job is
-done.  verify sends its criteria in a measured order
-(`verification.JOB_ORDER`): OpenBLAS's helper threads spin after each
+done.  verify sends its criteria in a measured order, each criterion's
+place in `verification.CRITERIA`: OpenBLAS's helper threads spin after each
 matrix-vector product of the quadrature DFT and take the other worker's
-core, so the criterion with the most DFT rows goes last.  moments --check
-passes its frames to the DFT CHECK_FRAMES at a time; each call builds the
-quadrature kernel once, strip by strip, and never holds it whole.  moments
-writes its table with repr, which gives csvtext's bytes; only evolve's
-frames load csvtext, and only verify loads the battery (`verification`).
+core, so the criterion with the most DFT rows goes last.  A scoped verify
+sends two jobs in print order: the rows before the split-step row, then
+that row with the rows after it.  moments --check passes its frames to the
+DFT CHECK_FRAMES at a time; each call builds the quadrature kernel once,
+strip by strip, and never holds it whole.  moments writes its table with
+repr, which gives csvtext's bytes; only evolve's frames load csvtext, and
+only verify loads the battery (`verification`).
 """
 
 import argparse
@@ -69,17 +71,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# Least work, frame files x grid points, for which evolve starts a worker
-# pool.  Measured in-process with jobs of FRAME_BLOCK frames on 2 cores,
-# serial and pooled runs alternating (three runs, medians of 21 each,
-# serial -> pooled): the pool loses a little at 12,288 (1,024 points x 12
-# files 18.5 -> 21.9, 29.4 -> 29.7, 22.1 -> 25.3 ms), ties at 16,384
-# (1,024 x 16 31.7 -> 30.6, 35.3 -> 32.8, 30.5 -> 31.8 ms) and wins at
-# 32,768 (1,024 x 32 47.2 -> 43.2, 47.1 -> 42.2, 70.7 -> 59.3 ms).  The
-# 64-point cases (64 x 128, 64 x 256) are bound by file creation and moved
-# by 2x between runs.  Bare forks start no faster than the multiprocessing
-# pool did once its import was paid, so in one process the bound stays.
-POOL_MIN_WORK = 12288
 # Frames per evolve job: one representation, evaluated as one (T, N) block.
 FRAME_BLOCK = 8
 
@@ -271,8 +262,7 @@ def cmd_evolve(args, config):
         table = functools.cache(functools.partial(_frame_table, grid))
         files = functools.partial(_frame_files, spec, grid, table, stage)
         digests, seconds = {}, [0.0, 0.0, 0.0]
-        with ordered_map(files, jobs, parallel=(
-                len(entries) * grid.size >= POOL_MIN_WORK)) as results:
+        with ordered_map(files, jobs) as results:
             for (representation, first, _), (job_digests, job_seconds) in zip(
                     jobs, results):
                 seconds = [a + b for a, b in zip(seconds, job_seconds)]

@@ -128,6 +128,7 @@ _TOP_KEYS = ("schema_version", "params", "n", "grid", "time", "outputs")
 
 
 def _require(mapping, key, kind, where):
+    """mapping[key], a finite float if kind is float and an int otherwise."""
     if key not in mapping:
         raise ConfigError(f"missing {where}{key!r}")
     value = mapping[key]
@@ -141,10 +142,8 @@ def _require(mapping, key, kind, where):
         if not math.isfinite(value):
             raise ConfigError(f"{where}{key!r} must be a finite number")
         return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}{key!r} must be an integer")
-        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}{key!r} must be an integer")
     return value
 
 

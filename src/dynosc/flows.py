@@ -101,21 +101,13 @@ class MomentSet:
     n: int
 
     def __post_init__(self):
-        values = (self.mean_x, self.mean_p, self.var_x, self.var_p,
-                  self.product, self.energy)
-        if set(map(type, values)) == {float}:  # scalar t: no arrays
-            finite = all(map(math.isfinite, values))
-            positive = min(self.var_x, self.var_p) > 0
-            product = self.product
-        else:
-            values = np.array(values)
-            finite = np.isfinite(values).all()
-            positive = (values[2:4] > 0).all()
-            product = values[4].min()
-        if not finite:
+        values = np.array((self.mean_x, self.mean_p, self.var_x, self.var_p,
+                           self.product, self.energy))
+        if not np.isfinite(values).all():
             raise DomainError("moments must be finite")
-        if not positive:
+        if not (values[2:4] > 0).all():
             raise DomainError("variances must be positive")
+        product = values[4].min()
         floor = (self.n + 0.5) ** 2 - 1e-9
         if product < floor:
             raise DomainError(f"uncertainty product {product} "

@@ -52,6 +52,7 @@ def hermite(n, u):
     return float(h1) if h1.ndim == 0 else h1
 
 
+@np.errstate(over="ignore")  # e^{-u^2/2} is exactly 0 once u^2 overflows
 def hermite_function(n, u):
     """Normalized Hermite function phi_n(u).  Accepts scalars or arrays."""
     n = check_order(n)

@@ -90,17 +90,17 @@ def _results(jobs, feed, workers):
 
 
 @contextlib.contextmanager
-def ordered_map(fn, jobs, parallel=True):
+def ordered_map(fn, jobs):
     """Iterator over fn(job) for each of the sequence jobs, in job order.
 
-    With parallel, more than one job and more than one usable core, forked
-    workers run fn (which they get by fork, with the jobs), jobs starting
-    in order; otherwise this is a plain map.  An error in a worker is raised
-    here at its job's place, WorkerDied if a worker ends first.  The workers
-    are killed and reaped on every exit.
+    With more than one job and more than one usable core, forked workers run
+    fn (which they get by fork, with the jobs), jobs starting in order;
+    otherwise this is a plain map.  An error in a worker is raised here at
+    its job's place, WorkerDied if a worker ends first.  The workers are
+    killed and reaped on every exit.
     """
     cores = _usable_cores()
-    if not parallel or len(jobs) < 2 or cores < 2:
+    if len(jobs) < 2 or cores < 2:
         yield map(fn, jobs)
         return
     tasks, feed = os.pipe()

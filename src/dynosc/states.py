@@ -74,6 +74,7 @@ def uniform_grid(x_min, x_max, points):
     return grid
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked right after
 def _assemble(spec, x, t, with_lewis_phase):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)

@@ -49,9 +49,9 @@ def diff2(values, dx):
     return out
 
 
-def interior(values, margin=INTERIOR_MARGIN):
+def interior(values):
     """Drop the boundary bands from the last axis of an array of samples."""
-    return np.asarray(values)[..., margin:-margin]
+    return np.asarray(values)[..., INTERIOR_MARGIN:-INTERIOR_MARGIN]
 
 
 def l2_norm(values, dx):

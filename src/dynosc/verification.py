@@ -442,75 +442,58 @@ def convergence_orders():
     ]
 
 
+# The criteria in print order, each with its place in the order in which
+# they go to the workers, measured on 2 cores.  Wall times run alone: 9
+# 0.57-0.72 s, 2 0.48-0.60 s, 6 0.27-0.32 s, 3 0.25-0.31 s, 5 0.12-0.14 s,
+# every other one under 0.09 s.  Longest first, so that no long one starts
+# late, except for the two criteria that call the BLAS-backed DFT
+# (matrix-vector products): after each product OpenBLAS's helper threads
+# spin for a while and take the other worker's core.  4 makes its one DFT
+# call (5 rows) early; 6 makes one of 200 rows, about 3,200 strip products,
+# and goes last, while the other worker runs out of small jobs.  A pooled
+# `verify` took 1.0-1.4 s in this order, 1.2-1.6 s with 6 and 4 last and
+# 1.5-1.7 s longest first (fresh processes, interleaved).
 CRITERIA = (
-    ("1 family exactness", family_exactness),
+    ("1 family exactness", family_exactness, 5),
     ("1s family exactness at refined resolution (supplementary)",
-     family_exactness_refined),
-    ("2 invariant spectrum", invariant_spectrum),
-    ("3 ladder algebra", ladder_algebra),
-    ("4 textbook limit", textbook_limit),
-    ("5 uncertainty structure", uncertainty_structure),
-    ("6 momentum representation", momentum_representation),
-    ("7 animation reproduction", animation_reproduction),
-    ("8 classical layer", classical_layer),
-    ("9 independent propagation", independent_propagation),
-    ("10 comoving adjudication", comoving_adjudication),
-    ("11 convergence orders", convergence_orders),
+     family_exactness_refined, 6),
+    ("2 invariant spectrum", invariant_spectrum, 2),
+    ("3 ladder algebra", ladder_algebra, 3),
+    ("4 textbook limit", textbook_limit, 0),
+    ("5 uncertainty structure", uncertainty_structure, 4),
+    ("6 momentum representation", momentum_representation, 11),
+    ("7 animation reproduction", animation_reproduction, 8),
+    ("8 classical layer", classical_layer, 9),
+    ("9 independent propagation", independent_propagation, 1),
+    ("10 comoving adjudication", comoving_adjudication, 7),
+    ("11 convergence orders", convergence_orders, 10),
 )
-
-
-# The order in which the criteria go to the workers, measured on 2 cores.
-# Wall times run alone: 9 0.57-0.72 s, 2 0.48-0.60 s, 6 0.27-0.32 s,
-# 3 0.25-0.31 s, 5 0.12-0.14 s, every other one under 0.09 s.  Longest
-# first, so that no long one starts late, except for the two criteria that
-# call the BLAS-backed DFT (matrix-vector products): after each product
-# OpenBLAS's helper threads spin for a while and take the other worker's
-# core.  4 makes its one DFT call (5 rows) early; 6 makes one of 200 rows,
-# about 3,200 strip products, and goes last, while the other worker runs out
-# of small jobs.  A pooled `verify`
-# took 1.0-1.4 s in this order, 1.2-1.6 s with 6 and 4 last and 1.5-1.7 s
-# longest first (fresh processes, interleaved).
-JOB_ORDER = (textbook_limit, independent_propagation, invariant_spectrum,
-             ladder_algebra, uncertainty_structure, family_exactness,
-             family_exactness_refined, comoving_adjudication,
-             animation_reproduction, classical_layer, convergence_orders,
-             momentum_representation)
-
-
-def _run_jobs(jobs, order):
-    """[job() for job in jobs], run on the worker pool in `order`, a
-    permutation of the job indices.  Only the indices are pickled: the jobs
-    reach the workers by fork."""
-    with ordered_map(lambda k: jobs[k](), order) as results:
-        done = dict(zip(order, results))
-    return [done[k] for k in range(len(jobs))]
 
 
 def run_acceptance(denominator=BETA0_QUARTIC, tau_convention=None):
     """Evaluate the full battery; returns {criterion: [CheckResult, ...]}.
 
-    The criteria are independent of each other and run on the worker pool in
-    JOB_ORDER; the result keeps the order of CRITERIA.
+    The criteria are independent of each other and run on the worker pool
+    in their send order; the result keeps the print order of CRITERIA.
     """
     args = {momentum_representation: (denominator,),
             comoving_adjudication: (tau_convention,)}
-    functions = [fn for _, fn in CRITERIA]
-    results = _run_jobs([functools.partial(fn, *args.get(fn, ()))
-                         for fn in functions],
-                        [functions.index(fn) for fn in JOB_ORDER])
-    return {label: rows for (label, _), rows in zip(CRITERIA, results)}
+    jobs = sorted(CRITERIA, key=lambda criterion: criterion[2])
+    with ordered_map(lambda job: job[1](*args.get(job[1], ())),
+                     jobs) as results:
+        rows = {label: found for (label, _, _), found in zip(jobs, results)}
+    return {label: rows[label] for label, _, _ in CRITERIA}
 
 
-def _scoped_measurements(config, denominator, tau_convention):
-    """The rows of scoped_checks before and after its split-step row."""
+def _scoped_leading_rows(config, denominator):
+    """The rows of scoped_checks before its split-step row."""
     params, n = config.params, config.n
-    spec = StateSpec(params, n)
     grid = uniform_grid(*RESIDUAL_GRID)
-    before = [_below(f"pde_residual[n={nn}]",
-                     _worst_residual(StateSpec(params, nn), grid), 1e-6)
-              for nn in sorted({0, 1, 2, 5, n})]
+    rows = [_below(f"pde_residual[n={nn}]",
+                   _worst_residual(StateSpec(params, nn), grid), 1e-6)
+            for nn in sorted({0, 1, 2, 5, n})]
     half = EIGHT_TIMES[::2]
-    before += [
+    return rows + [
         _below("invariant_eigenvalue[n<=6]", _eigenvalue_gap(params, half), 1e-7),
         _below("ladder_commutator", _commutator_residual(params, (0.0, 1.0)),
                1e-7),
@@ -519,23 +502,31 @@ def _scoped_measurements(config, denominator, tau_convention):
                                    params, half, denominator), 1e-8),
         _below("energy_constant", _classical_drift(params)[0], 1e-12),
     ]
+
+
+def _scoped_split_step_rows(config, tau_convention):
+    """The split-step row of scoped_checks and the rows after it."""
+    params = config.params
+    spec = StateSpec(params, config.n)
+    (gap,) = _split_step_gaps([spec])
+    rows = [_below("split_step_vs_closed_form", gap, 1e-5)]
     times = (0.8, 2.0)
     if tau_convention:
-        after = [_below(f"comoving_residual[{tau_convention}]",
-                        _worst_comoving(spec, tau_convention, times), 1e-6)]
+        rows.append(_below(f"comoving_residual[{tau_convention}]",
+                           _worst_comoving(spec, tau_convention, times), 1e-6))
     else:
         worst = {c: _worst_comoving(spec, c, times)
                  for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
-        after = [_below(f"comoving_residual[{MINUS_TWO_GAMMA}]",
+        rows += [_below(f"comoving_residual[{MINUS_TWO_GAMMA}]",
                         worst[MINUS_TWO_GAMMA], 1e-6),
                  _one_convention(worst)[1]]
     op_grid = uniform_grid(*OPERATOR_GRID)
     norm_sq = l2_norm(eval_psi(spec, op_grid, 1.1),
                       float(op_grid[1] - op_grid[0])) ** 2
     expected = 1.0 / (params.mu0 * abs(params.beta0))
-    after.append(_below("normalization[1/(mu0 |beta0|)]",
-                        abs(norm_sq - expected), 1e-10))
-    return before, after
+    rows.append(_below("normalization[1/(mu0 |beta0|)]",
+                       abs(norm_sq - expected), 1e-10))
+    return rows
 
 
 def scoped_checks(config, denominator=BETA0_QUARTIC, tau_convention=None):
@@ -545,12 +536,11 @@ def scoped_checks(config, denominator=BETA0_QUARTIC, tau_convention=None):
     n in {0, 1, 2, 5, config.n} for the PDE residual, every second of the
     eight sample times for the invariant and momentum-map checks, and the
     first two times of the commutator and comoving checks; a normalization
-    row is added.  The split-step oracle, about 70% of the work, is one job
-    on the worker pool and every other measurement the other.
+    row is added.  The rows go to the worker pool as two jobs, in print
+    order: the rows before the split-step row, then the split-step row (the
+    oracle is about 70% of the work) with the rows after it.
     """
-    spec = StateSpec(config.params, config.n)
-    (gap,), (before, after) = _run_jobs(
-        (functools.partial(_split_step_gaps, [spec]),
-         functools.partial(_scoped_measurements, config, denominator,
-                           tau_convention)), (0, 1))
-    return [*before, _below("split_step_vs_closed_form", gap, 1e-5), *after]
+    jobs = (functools.partial(_scoped_leading_rows, config, denominator),
+            functools.partial(_scoped_split_step_rows, config, tau_convention))
+    with ordered_map(lambda job: job(), jobs) as results:
+        return [row for rows in results for row in rows]

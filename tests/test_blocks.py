@@ -337,9 +337,8 @@ class TestOneTransformPerCaller:
         ver.momentum_representation()
         assert calls == [(200, 1024)]
 
-    def test_scoped_measurements(self, calls):
-        ver._scoped_measurements(preset_config("example3"), BETA0_QUARTIC,
-                                 None)
+    def test_scoped_leading_rows(self, calls):
+        ver._scoped_leading_rows(preset_config("example3"), BETA0_QUARTIC)
         assert calls == [(20, 1024)]
 
     def test_moments_check(self, calls):

@@ -544,8 +544,7 @@ class TestEvolvePool:
     """evolve on forked workers writes what the serial loop writes."""
 
     def pool_config(self, tmp_path):
-        # 20 frames x 2 representations x 1,024 points: enough work to start
-        # the pool.
+        # 20 frames x 2 representations: six jobs, two of them short.
         return write_config(
             tmp_path, params={"mu0": 1.5, "beta0": 2.0 / 3.0, "delta0": 1.5},
             grid={"points": 1024},
@@ -554,15 +553,9 @@ class TestEvolvePool:
 
     def test_pool_and_serial_bytes_equal(self, tmp_path, monkeypatch):
         path = self.pool_config(tmp_path)
-        assert 2 * 20 * 1024 >= cli.POOL_MIN_WORK
-        parent, build_packet = os.getpid(), cli.build_packet
-
-        def in_worker(*args):
-            assert os.getpid() != parent, "frame built in the parent"
-            return build_packet(*args)
-
+        build_packet = cli.build_packet
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(cli, "build_packet", in_worker)
+        monkeypatch.setattr(cli, "build_packet", in_worker(build_packet))
         pooled = tmp_path / "pool"
         assert main(["evolve", "--config", str(path), "--out", str(pooled)]) == 0
         assert_no_child_left()
@@ -576,23 +569,19 @@ class TestEvolvePool:
         for name in names:
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
 
-    @pytest.mark.parametrize("points,files,pooled", [
-        (64, 128, False), (1024, 16, True)])
-    def test_pool_starts_by_work(self, tmp_path, monkeypatch, points, files,
-                                 pooled):
-        # Files x points decides: many small frames stay in the parent.
+    @pytest.mark.parametrize("points,files", [(64, 128), (1024, 16), (64, 2)])
+    def test_frames_format_in_workers(self, tmp_path, monkeypatch, points,
+                                      files):
+        # Two jobs or more go to the workers, however small: down to one
+        # 64-point frame in each representation.  The parent neither
+        # evaluates nor formats a frame.
         path = write_config(tmp_path, grid={"points": points},
                             time={"t_start": 0.0, "t_end": 1.0,
                                   "frames": files // 2},
                             outputs=["position_density", "momentum_density"])
-        parent, build_packet = os.getpid(), cli.build_packet
-
-        def where(*args):
-            assert (os.getpid() != parent) == pooled, "frame built elsewhere"
-            return build_packet(*args)
-
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(cli, "build_packet", where)
+        for name in ("build_packet", "_frame_table"):
+            monkeypatch.setattr(cli, name, in_worker(getattr(cli, name)))
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
         assert len(list(out.iterdir())) == files + 1
@@ -668,38 +657,53 @@ class TestEvolvePool:
 
 def swap_functions(monkeypatch, module, replace):
     """Put replace[fn] in place of fn at every module attribute, and in every
-    (label, fn) pair of CRITERIA and in JOB_ORDER, as a fork carries them."""
+    (label, fn, place) entry of CRITERIA, as a fork carries them."""
     for name, value in list(vars(module).items()):
         if isinstance(value, FunctionType) and value in replace:
             monkeypatch.setattr(module, name, replace[value])
     monkeypatch.setattr(module, "CRITERIA", tuple(
-        (label, replace.get(fn, fn)) for label, fn in module.CRITERIA))
-    monkeypatch.setattr(module, "JOB_ORDER", tuple(
-        replace.get(fn, fn) for fn in module.JOB_ORDER))
+        (label, replace.get(fn, fn), place)
+        for label, fn, place in module.CRITERIA))
+
+
+def in_worker(fn):
+    """fn, which fails when it runs in this process."""
+    parent = os.getpid()
+
+    def run(*args):
+        assert os.getpid() != parent, f"{fn.__name__} ran in the parent"
+        return fn(*args)
+    return run
 
 
 def measured_in_workers(monkeypatch):
     """Make every verify job fail when it runs in this process."""
-    parent = os.getpid()
-
-    def in_worker(fn):
-        def run(*args):
-            assert os.getpid() != parent, f"{fn.__name__} ran in the parent"
-            return fn(*args)
-        return run
-
-    jobs = [fn for _, fn in ver.CRITERIA]
-    jobs += [ver._split_step_gaps, ver._scoped_measurements]
+    jobs = [fn for _, fn, _ in ver.CRITERIA]
+    jobs += [ver._scoped_leading_rows, ver._scoped_split_step_rows]
     swap_functions(monkeypatch, ver, {fn: in_worker(fn) for fn in jobs})
 
 
 class TestJobOrder:
-    def test_job_order_is_a_permutation_of_the_criteria(self):
-        # A criterion missing from JOB_ORDER would never run, and
-        # run_acceptance would die on its index instead of exiting.
-        functions = [fn for _, fn in ver.CRITERIA]
-        assert sorted(functions.index(fn) for fn in ver.JOB_ORDER) == list(
-            range(len(ver.CRITERIA)))
+    def test_battery_runs_in_send_order(self, monkeypatch):
+        # Run serially, the criteria run in the order in which they go to
+        # the workers, and their groups come back in print order.
+        ran = []
+
+        def recording(label):
+            def run(*args):
+                ran.append(label.split()[0])
+                return [label]
+            return run
+
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+        swap_functions(monkeypatch, ver, {
+            fn: recording(label) for label, fn, _ in ver.CRITERIA})
+        groups = ver.run_acceptance()
+        assert ran == ["4", "9", "2", "3", "5", "1", "1s", "10", "7", "8",
+                       "11", "6"]
+        assert [label.split()[0] for label in groups] == [
+            "1", "1s", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"]
+        assert all(rows == [label] for label, rows in groups.items())
 
 
 @needs_fork
@@ -749,7 +753,8 @@ class TestVerifyPool:
             raise DomainError(f"raised in process {os.getpid()}")
 
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
-        swap_functions(monkeypatch, ver, {ver.JOB_ORDER[0]: fails})
+        first = min(ver.CRITERIA, key=lambda criterion: criterion[2])[1]
+        swap_functions(monkeypatch, ver, {first: fails})
         assert main(["verify"]) == 2
         captured = capsys.readouterr()
         raised_in = re.search(r"config error: raised in process (\d+)",
@@ -1041,6 +1046,8 @@ class TestUnrepresentableData:
           for p in ({"delta0": 1e160}, {"delta0": 1e200}, {"eps0": 1e200})),
         ("evolve", {"grid": {"x_min": -12.0, "x_max": -11.999999999999}}),
         ("evolve", {"time": {"t_start": 1e308, "t_end": 1e308, "frames": 1}}),
+        ("evolve", {"params": {"alpha0": 0.3},
+                    "grid": {"x_min": -1e160, "x_max": 1e160}}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(
         f"{k}={x}" for d in v.values() for k, x in d.items()))
     def test_config_error_exit_code(self, tmp_path, capsys, command,
@@ -1053,18 +1060,23 @@ class TestUnrepresentableData:
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["evolve", "--out", "out"],
-                                      ["moments", "--check"]],
-                             ids=["evolve", "moments-check"])
-    def test_overflowing_grid_span(self, tmp_path, argv):
-        # Each bound is a float64, but x_max - x_min overflows.  In a fresh
-        # process, so that a NumPy warning would show on stderr.
-        path = write_config(tmp_path, grid={"x_min": -1e308, "x_max": 1e308})
-        run = subprocess.run(
+    @staticmethod
+    def run_fresh(tmp_path, argv, path):
+        """The CLI in a fresh process, so that a NumPy warning would show on
+        stderr."""
+        return subprocess.run(
             [sys.executable, "-m", "dynosc.cli", *argv, "--config", str(path)],
             cwd=tmp_path, capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})
+
+    @pytest.mark.parametrize("argv", [["evolve", "--out", "out"],
+                                      ["moments", "--check"]],
+                             ids=["evolve", "moments-check"])
+    def test_overflowing_grid_span(self, tmp_path, argv):
+        # Each bound is a float64, but x_max - x_min overflows.
+        path = write_config(tmp_path, grid={"x_min": -1e308, "x_max": 1e308})
+        run = self.run_fresh(tmp_path, argv, path)
         assert run.returncode == 2
         assert run.stdout == ""
         lines = run.stderr.splitlines()
@@ -1072,6 +1084,14 @@ class TestUnrepresentableData:
         assert "span" in lines[0]
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
+
+    def test_overflowing_grid_square(self, tmp_path):
+        # x^2 overflows at the ends of [-1e200, 1e200], where e^{-x^2/2} is
+        # exactly 0: the frames are written, and nothing warns.
+        path = write_config(tmp_path, grid={"x_min": -1e200, "x_max": 1e200})
+        run = self.run_fresh(tmp_path, ["evolve", "--out", "out"], path)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("wrote 3 frame file(s)")
 
 
 class TestGoldenFrames:

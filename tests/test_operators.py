@@ -19,8 +19,8 @@ GRID = uniform_grid(-12.0, 12.0, 4096)
 DX = float(GRID[1] - GRID[0])
 
 
-def rel_gap(got, want, dx=DX, margin=8):
-    return l2_norm(interior(got - want, margin), dx) / l2_norm(interior(want, margin), dx)
+def rel_gap(got, want, dx=DX):
+    return l2_norm(interior(got - want), dx) / l2_norm(interior(want), dx)
 
 
 def gaussian_rows(span=9.0, points=1024):
@@ -101,8 +101,8 @@ class TestLadder:
         states = self.invariant_states(params, t)
         for n in range(0, 6):
             got = ladder(CREATION, st, GRID, states[n], DX)
-            gap = l2_norm(interior(got - math.sqrt(n + 1) * states[n + 1], 8), DX)
-            assert gap / l2_norm(interior(states[n], 8), DX) < 1e-6
+            gap = l2_norm(interior(got - math.sqrt(n + 1) * states[n + 1]), DX)
+            assert gap / l2_norm(interior(states[n]), DX) < 1e-6
 
     def test_lowering_full_solution_picks_up_lewis_phase(self):
         # a(t) psi_n = sqrt(n) e^{2 i gamma(t)} psi_{n-1}

@@ -151,15 +151,14 @@ def test_dead_worker_ends_the_map():
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cores,parallel", [(1, True), (2, False)])
-def test_plain_map_gives_the_same_list(monkeypatch, cores, parallel):
+def test_plain_map_gives_the_same_list(monkeypatch):
     jobs = list(range(50))
     with pool.ordered_map(in_workers(square), jobs) as results:
         pooled = list(results)
-    monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
     parent = os.getpid()
-    with pool.ordered_map(lambda j: (square(j), os.getpid()), jobs,
-                          parallel=parallel) as results:
+    with pool.ordered_map(lambda j: (square(j), os.getpid()),
+                          jobs) as results:
         plain = list(results)
     assert pooled == [value for value, _ in plain] == [j * j for j in jobs]
     assert {pid for _, pid in plain} == {parent}
@@ -173,14 +172,14 @@ DYING = textwrap.dedent("""
     from dynosc import cli, pool, verification
     pool._usable_cores = lambda: 2
 
-    def dying_map(fn, jobs, parallel=True):
+    def dying_map(fn, jobs):
         parent = os.getpid()
 
         def job(j):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return fn(j)
-        return ordered_map(job, jobs, parallel)
+        return ordered_map(job, jobs)
 
     ordered_map = pool.ordered_map
     cli.ordered_map = verification.ordered_map = dying_map
@@ -195,7 +194,8 @@ def run_dying(argv):
 
 
 def pooled_config(tmp_path, frames):
-    # 20 frames x 2 representations x 1,024 points start the pool.
+    # Position and momentum frames on 1,024 points: a job per representation
+    # and block of up to FRAME_BLOCK frames.
     path = tmp_path / f"config{frames}.json"
     path.write_text(json.dumps({
         "schema_version": 1, "n": 0,
