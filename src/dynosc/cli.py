@@ -30,14 +30,16 @@ manifest.json last.  So a failed run leaves the earlier one whole, two runs
 into one directory never share a file, and the bytes do not depend on the
 number of workers.  A worker that dies ends the run with exit 3.  A killed
 run leaves its staging directory behind; its workers exit once their job is
-done.  verify sends its criteria in a measured order, each criterion's
-place in `verification.CRITERIA`: OpenBLAS's helper threads spin after each
-matrix-vector product of the quadrature DFT and take the other worker's
-core, so the criterion with the most DFT rows goes last.  A scoped verify
-sends two jobs in print order: the rows before the split-step row, then
-that row with the rows after it.  moments --check passes its frames to the
-DFT CHECK_FRAMES at a time; each call builds the quadrature kernel once,
-strip by strip, and never holds it whole.  moments writes its table with
+done.  verify sends its criteria longest first, in the order of
+`verification.CRITERIA`.  A scoped verify sends two jobs in print order:
+the rows before the split-step row, then that row with the rows after it.
+The workers inherit one BLAS thread: the parent caps NumPy's OpenBLAS just
+before it forks, so no worker starts a helper thread to spin on the other
+worker's core.  The parent keeps that cap, since setting the count back
+would start OpenBLAS's helper threads again.  moments --check, which never
+forks, and a serial run keep OpenBLAS's own threads.  moments --check
+passes its frames to the DFT CHECK_FRAMES at a time; each call builds the
+quadrature kernel once, strip by strip, and never holds it whole.  moments writes its table with
 repr, which gives csvtext's bytes; only evolve's frames load csvtext, and
 only verify loads the battery (`verification`).
 """
@@ -53,6 +55,7 @@ import shutil
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -341,8 +344,16 @@ def build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    """A warning as one stderr line, without the source path and line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # Workers fork with this format, so a pooled run prints the same line.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         config = _resolve_config(args)
         return args.func(args, config)
@@ -354,6 +365,8 @@ def main(argv=None):
     except WorkerDied:
         print("worker process ended unexpectedly", file=sys.stderr)
         return EXIT_IO
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -7,14 +7,26 @@ and no thread.  They read job indices from one pipe and write pickled
 results on one each, which the parent polls.  A worker holds only its own
 pipe ends, so one whose parent is gone reads the end of the job pipe, or
 gets EPIPE, and exits without a word.
+
+The workers inherit one BLAS thread: just before it forks them, the parent
+caps NumPy's bundled OpenBLAS at one thread, so no worker starts a helper
+thread that would spin on the core another worker needs.  The parent keeps
+that cap.  OpenBLAS's fork handler shuts the parent's helper threads down,
+and any later change of the count, or any multithreaded product, starts
+them again, each to spin for a while; restoring the old count would cost
+that on every map.  A process that never forks a pool (a serial run, or
+`moments --check`) keeps OpenBLAS's own threads.
 """
 
 import contextlib
+import ctypes
 import os
 import pickle
 import select
 import signal
 import struct
+
+from numpy._core import _multiarray_umath
 
 _SIZE = struct.Struct("<Q")        # a job index, or the size of a result
 _AHEAD = 2       # jobs sent per worker ahead of the results: none waits
@@ -28,6 +40,28 @@ def _usable_cores():
     """Cores this process may run on: the pool starts one worker per core."""
     return (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
+
+
+def _blas_threads():
+    """The get and set calls of the thread count of NumPy's bundled OpenBLAS,
+    which NumPy's extension module resolves; None where NumPy links another
+    BLAS."""
+    blas = ctypes.CDLL(_multiarray_umath.__file__)
+    try:
+        get = blas.scipy_openblas_get_num_threads64_
+        set_ = blas.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+def _one_blas_thread():
+    """Cap this process's BLAS at one thread, for good; set only if the
+    count is not 1 already, since each set restarts OpenBLAS's threads."""
+    if (calls := _blas_threads()) is not None and calls[0]() != 1:
+        calls[1](1)
 
 
 def _read(fd, size):
@@ -97,12 +131,14 @@ def ordered_map(fn, jobs):
     fn (which they get by fork, with the jobs), jobs starting in order;
     otherwise this is a plain map.  An error in a worker is raised here at
     its job's place, WorkerDied if a worker ends first.  The workers are
-    killed and reaped on every exit.
+    killed and reaped on every exit.  Before it forks, this process's BLAS is
+    capped at one thread, which the workers inherit (see the module).
     """
     cores = _usable_cores()
     if len(jobs) < 2 or cores < 2:
         yield map(fn, jobs)
         return
+    _one_blas_thread()
     tasks, feed = os.pipe()
     workers = {}                          # result pipe -> worker pid
     try:

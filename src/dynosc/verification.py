@@ -442,31 +442,22 @@ def convergence_orders():
     ]
 
 
-# The criteria in print order, each with its place in the order in which
-# they go to the workers, measured on 2 cores.  Wall times run alone: 9
-# 0.57-0.72 s, 2 0.48-0.60 s, 6 0.27-0.32 s, 3 0.25-0.31 s, 5 0.12-0.14 s,
-# every other one under 0.09 s.  Longest first, so that no long one starts
-# late, except for the two criteria that call the BLAS-backed DFT
-# (matrix-vector products): after each product OpenBLAS's helper threads
-# spin for a while and take the other worker's core.  4 makes its one DFT
-# call (5 rows) early; 6 makes one of 200 rows, about 3,200 strip products,
-# and goes last, while the other worker runs out of small jobs.  A pooled
-# `verify` took 1.0-1.4 s in this order, 1.2-1.6 s with 6 and 4 last and
-# 1.5-1.7 s longest first (fresh processes, interleaved).
+# The criteria in the order in which they go to the workers: longest first,
+# by their serial times on one core, so that no long one starts late.
 CRITERIA = (
-    ("1 family exactness", family_exactness, 5),
+    ("9 independent propagation", independent_propagation),
+    ("2 invariant spectrum", invariant_spectrum),
+    ("6 momentum representation", momentum_representation),
+    ("3 ladder algebra", ladder_algebra),
+    ("5 uncertainty structure", uncertainty_structure),
+    ("1 family exactness", family_exactness),
+    ("4 textbook limit", textbook_limit),
     ("1s family exactness at refined resolution (supplementary)",
-     family_exactness_refined, 6),
-    ("2 invariant spectrum", invariant_spectrum, 2),
-    ("3 ladder algebra", ladder_algebra, 3),
-    ("4 textbook limit", textbook_limit, 0),
-    ("5 uncertainty structure", uncertainty_structure, 4),
-    ("6 momentum representation", momentum_representation, 11),
-    ("7 animation reproduction", animation_reproduction, 8),
-    ("8 classical layer", classical_layer, 9),
-    ("9 independent propagation", independent_propagation, 1),
-    ("10 comoving adjudication", comoving_adjudication, 7),
-    ("11 convergence orders", convergence_orders, 10),
+     family_exactness_refined),
+    ("10 comoving adjudication", comoving_adjudication),
+    ("11 convergence orders", convergence_orders),
+    ("8 classical layer", classical_layer),
+    ("7 animation reproduction", animation_reproduction),
 )
 
 
@@ -474,15 +465,15 @@ def run_acceptance(denominator=BETA0_QUARTIC, tau_convention=None):
     """Evaluate the full battery; returns {criterion: [CheckResult, ...]}.
 
     The criteria are independent of each other and run on the worker pool
-    in their send order; the result keeps the print order of CRITERIA.
+    in the order of CRITERIA; the result is in criterion order, 1s after 1.
     """
     args = {momentum_representation: (denominator,),
             comoving_adjudication: (tau_convention,)}
-    jobs = sorted(CRITERIA, key=lambda criterion: criterion[2])
     with ordered_map(lambda job: job[1](*args.get(job[1], ())),
-                     jobs) as results:
-        rows = {label: found for (label, _, _), found in zip(jobs, results)}
-    return {label: rows[label] for label, _, _ in CRITERIA}
+                     CRITERIA) as results:
+        rows = {label: found for (label, _), found in zip(CRITERIA, results)}
+    return {label: rows[label] for label in sorted(
+        rows, key=lambda label: (int(label.split()[0].rstrip("s")), label))}
 
 
 def _scoped_leading_rows(config, denominator):

@@ -1,11 +1,16 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dynosc import OscillatorParams
 from dynosc.config import PRESET_NAMES, preset_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EIGHT_TIMES = [2.0 * math.pi * k / 8.0 for k in range(8)]
 
@@ -43,3 +48,19 @@ def assert_no_child_left():
     pool forked has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def run_cli(argv, cwd=None, one_core=False):
+    """`dynosc argv` in a fresh process; with one_core, on the first core of
+    this process's affinity from its start, as `taskset -c` runs it."""
+    if one_core:
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs os.sched_setaffinity")
+        first = min(os.sched_getaffinity(0))
+    return subprocess.run(
+        [sys.executable, "-m", "dynosc.cli", *argv], cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {first})) if one_core
+        else None,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})

@@ -25,7 +25,7 @@ from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
                            preset_config)
 from dynosc.csvtext import CsvText
 
-from conftest import EDGE_VALUES, assert_no_child_left
+from conftest import EDGE_VALUES, assert_no_child_left, run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -657,13 +657,12 @@ class TestEvolvePool:
 
 def swap_functions(monkeypatch, module, replace):
     """Put replace[fn] in place of fn at every module attribute, and in every
-    (label, fn, place) entry of CRITERIA, as a fork carries them."""
+    (label, fn) entry of CRITERIA, as a fork carries them."""
     for name, value in list(vars(module).items()):
         if isinstance(value, FunctionType) and value in replace:
             monkeypatch.setattr(module, name, replace[value])
     monkeypatch.setattr(module, "CRITERIA", tuple(
-        (label, replace.get(fn, fn), place)
-        for label, fn, place in module.CRITERIA))
+        (label, replace.get(fn, fn)) for label, fn in module.CRITERIA))
 
 
 def in_worker(fn):
@@ -678,7 +677,7 @@ def in_worker(fn):
 
 def measured_in_workers(monkeypatch):
     """Make every verify job fail when it runs in this process."""
-    jobs = [fn for _, fn, _ in ver.CRITERIA]
+    jobs = [fn for _, fn in ver.CRITERIA]
     jobs += [ver._scoped_leading_rows, ver._scoped_split_step_rows]
     swap_functions(monkeypatch, ver, {fn: in_worker(fn) for fn in jobs})
 
@@ -697,10 +696,10 @@ class TestJobOrder:
 
         monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
         swap_functions(monkeypatch, ver, {
-            fn: recording(label) for label, fn, _ in ver.CRITERIA})
+            fn: recording(label) for label, fn in ver.CRITERIA})
         groups = ver.run_acceptance()
-        assert ran == ["4", "9", "2", "3", "5", "1", "1s", "10", "7", "8",
-                       "11", "6"]
+        assert ran == ["9", "2", "6", "3", "5", "1", "4", "1s", "10", "11",
+                       "8", "7"]
         assert [label.split()[0] for label in groups] == [
             "1", "1s", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"]
         assert all(rows == [label] for label, rows in groups.items())
@@ -753,7 +752,7 @@ class TestVerifyPool:
             raise DomainError(f"raised in process {os.getpid()}")
 
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
-        first = min(ver.CRITERIA, key=lambda criterion: criterion[2])[1]
+        first = ver.CRITERIA[0][1]
         swap_functions(monkeypatch, ver, {first: fails})
         assert main(["verify"]) == 2
         captured = capsys.readouterr()
@@ -926,6 +925,26 @@ class TestVerifyCommand:
         rows = capsys.readouterr().out.splitlines()
         assert rows[0].endswith(",err_var_p") and len(rows) == 41
 
+    # moments --check on a narrow grid, and a scoped verify whose momentum
+    # frames do not decay on the transform grid; in a fresh process, where
+    # the warning prints, pooled and on one core.
+    @pytest.mark.parametrize("argv,overrides,code,last", [
+        (["moments", "--check"],
+         {"grid": {"x_min": -3.0, "x_max": 3.0, "points": 256}}, 0, []),
+        (["verify"], {"params": {"alpha0": 1e9}, "grid": {"points": 1024}},
+         2, ["config error: variances must be positive"])],
+        ids=["moments-check", "verify-config"])
+    @pytest.mark.parametrize("one_core", [False, True],
+                             ids=["pooled", "one-core"])
+    def test_precision_warning_is_one_line(self, tmp_path, argv, overrides,
+                                           code, last, one_core):
+        path = write_config(tmp_path, **overrides)
+        run = run_cli([*argv, "--config", str(path)], one_core=one_core)
+        assert run.returncode == code
+        assert run.stderr.splitlines() == [
+            "warning: boundary density exceeds 1e-12; momentum samples lose "
+            "accuracy", *last]
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
         path = tmp_path / "config.json"
@@ -1064,11 +1083,7 @@ class TestUnrepresentableData:
     def run_fresh(tmp_path, argv, path):
         """The CLI in a fresh process, so that a NumPy warning would show on
         stderr."""
-        return subprocess.run(
-            [sys.executable, "-m", "dynosc.cli", *argv, "--config", str(path)],
-            cwd=tmp_path, capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})
+        return run_cli([*argv, "--config", str(path)], cwd=tmp_path)
 
     @pytest.mark.parametrize("argv", [["evolve", "--out", "out"],
                                       ["moments", "--check"]],

@@ -11,13 +11,15 @@ import textwrap
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from dynosc import pool
+from dynosc import dft_momentum_rows, pool, uniform_grid
 from dynosc.cli import main
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, run_cli
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the worker pool needs os.fork")
@@ -163,6 +165,101 @@ def test_plain_map_gives_the_same_list(monkeypatch):
     assert pooled == [value for value, _ in plain] == [j * j for j in jobs]
     assert {pid for _, pid in plain} == {parent}
     assert_no_child_left()
+
+
+def task_count():
+    """The threads of this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.fixture
+def blas():
+    """The get and set calls of NumPy's OpenBLAS thread count, with the
+    count at 2, as it is on two cores before a pool forks; the count is
+    restored after the test."""
+    calls = pool._blas_threads()
+    if calls is None:
+        pytest.skip("NumPy links no OpenBLAS with a thread-count call")
+    get, set_ = calls
+    count = get()
+    set_(2)
+    yield get, set_
+    set_(count)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="counts threads through /proc")
+def test_workers_inherit_one_blas_thread(blas):
+    # Each worker reads one BLAS thread and runs the quadrature DFT's
+    # matrix-vector products without starting a helper thread.
+    get, _ = blas
+    grid = uniform_grid(-12.0, 12.0, 1024)
+    rows = np.exp(-np.add.outer(np.arange(4.0), grid) ** 2 / 2).astype(complex)
+
+    def transform(job):
+        before = task_count()
+        dft_momentum_rows(grid, rows)
+        return get(), before, task_count()
+
+    with pool.ordered_map(in_workers(transform), range(4)) as results:
+        assert list(results) == [(1, 1, 1)] * 4
+    assert get() == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs,cores", [(1, 2), (4, 1)],
+                         ids=["one-job", "one-core"])
+def test_plain_map_keeps_the_blas_threads(blas, monkeypatch, jobs, cores):
+    get, _ = blas
+    monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+    with pool.ordered_map(square, range(jobs)) as results:
+        assert list(results) == [j * j for j in range(jobs)]
+    assert get() == 2
+
+
+def test_blas_threads_are_set_once(blas, monkeypatch):
+    # The first pooled map sets one thread; a second finds it and sets
+    # nothing, since a set call restarts OpenBLAS's threads.
+    get, set_ = blas
+    sets = []
+
+    def recording_set(count):
+        sets.append(count)
+        set_(count)
+
+    monkeypatch.setattr(pool, "_blas_threads", lambda: (get, recording_set))
+    for _ in range(2):
+        with pool.ordered_map(in_workers(square), range(4)) as results:
+            assert list(results) == [0, 1, 4, 9]
+    assert sets == [1] and get() == 1
+    assert_no_child_left()
+
+
+def test_pool_runs_without_the_blas_symbols(monkeypatch):
+    # Where NumPy links another BLAS the symbols are missing: no cap, and
+    # the same results.
+    monkeypatch.setattr(pool.ctypes, "CDLL", lambda path: SimpleNamespace())
+    assert pool._blas_threads() is None
+    with pool.ordered_map(in_workers(square), list(range(50))) as results:
+        assert list(results) == [j * j for j in range(50)]
+    assert_no_child_left()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", [["verify", "--preset", "example3"],
+                                  ["moments", "--preset", "example3",
+                                   "--check"]],
+                         ids=["verify", "moments-check"])
+def test_fresh_process_prints_the_same_on_one_core(argv):
+    # Fresh processes, with all of this process's cores and with the first
+    # alone.  The pooled one caps its BLAS just before it forks, the path
+    # that real workers inherit; no test in this process can take it, since
+    # this process's BLAS stays capped from its first pooled map on.
+    pooled, serial = (run_cli(argv, one_core=one_core)
+                      for one_core in (False, True))
+    assert pooled.stdout and pooled.stderr == ""
+    assert ((pooled.returncode, pooled.stdout, pooled.stderr)
+            == (serial.returncode, serial.stdout, serial.stderr))
 
 
 # A job that SIGKILLs its own worker, run in a child process with a time
