@@ -31,8 +31,9 @@ into one directory never share a file, and the bytes do not depend on the
 number of workers.  A worker that dies ends the run with exit 3.  A killed
 run leaves its staging directory behind; its workers exit once their job is
 done.  verify sends its criteria longest first, in the order of
-`verification.CRITERIA`.  A scoped verify sends two jobs in print order:
-the rows before the split-step row, then that row with the rows after it.
+`verification.CRITERIA`.  A scoped verify sends three jobs in print
+order: the rows before the split-step row, that row alone, then the rows
+after it, so that on two cores the propagation has a core to itself.
 The workers inherit one BLAS thread: the parent caps NumPy's OpenBLAS just
 before it forks, so no worker starts a helper thread to spin on the other
 worker's core.  The parent keeps that cap, since setting the count back

@@ -678,7 +678,8 @@ def in_worker(fn):
 def measured_in_workers(monkeypatch):
     """Make every verify job fail when it runs in this process."""
     jobs = [fn for _, fn in ver.CRITERIA]
-    jobs += [ver._scoped_leading_rows, ver._scoped_split_step_rows]
+    jobs += [ver._scoped_leading_rows, ver._scoped_split_step_rows,
+             ver._scoped_trailing_rows]
     swap_functions(monkeypatch, ver, {fn: in_worker(fn) for fn in jobs})
 
 
@@ -698,11 +699,62 @@ class TestJobOrder:
         swap_functions(monkeypatch, ver, {
             fn: recording(label) for label, fn in ver.CRITERIA})
         groups = ver.run_acceptance()
-        assert ran == ["9", "2", "6", "3", "5", "1", "4", "1s", "10", "11",
-                       "8", "7"]
+        assert ran == ["9", "2", "6", "3", "5", "1", "1s", "4", "10", "8",
+                       "11", "7"]
         assert [label.split()[0] for label in groups] == [
             "1", "1s", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"]
         assert all(rows == [label] for label, rows in groups.items())
+
+
+SCOPED_JOBS = ("_scoped_leading_rows", "_scoped_split_step_rows",
+               "_scoped_trailing_rows")
+
+
+class TestScopedJobs:
+    """A scoped verify is three jobs: the rows before the split-step row,
+    that row alone, and the rows after it."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_jobs_go_out_and_come_back_in_print_order(self, monkeypatch,
+                                                      cores):
+        sent, ran = [], []
+        ordered_map = ver.ordered_map
+
+        def recording(name):
+            def run(*args):
+                ran.append(name)
+                return [name]
+            return run
+
+        def sending(fn, jobs):
+            sent.extend(job.func for job in jobs)
+            return ordered_map(fn, jobs)
+
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(ver, "ordered_map", sending)
+        swap_functions(monkeypatch, ver, {
+            getattr(ver, name): recording(name) for name in SCOPED_JOBS})
+        assert ver.scoped_checks(preset_config("example3")) == list(
+            SCOPED_JOBS)
+        assert sent == [getattr(ver, name) for name in SCOPED_JOBS]
+        # Serially the jobs run here, in send order; pooled, none does.
+        assert ran == (list(SCOPED_JOBS) if cores == 1 else [])
+        assert_no_child_left()
+
+    def test_split_step_job_is_one_row(self):
+        (row,) = ver._scoped_split_step_rows(preset_config("example3"))
+        assert row.name == "split_step_vs_closed_form" and row.passed
+
+    @pytest.mark.parametrize("tau_convention,comoving", [
+        (None, ["comoving_residual[minus_two_gamma]",
+                "comoving_exactly_one_convention"]),
+        ("minus_gamma", ["comoving_residual[minus_gamma]"]),
+        ("minus_two_gamma", ["comoving_residual[minus_two_gamma]"])])
+    def test_trailing_rows(self, tau_convention, comoving):
+        rows = ver._scoped_trailing_rows(preset_config("example3"),
+                                         tau_convention)
+        assert [row.name for row in rows] == [
+            *comoving, "normalization[1/(mu0 |beta0|)]"]
 
 
 @needs_fork

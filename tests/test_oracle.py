@@ -182,6 +182,19 @@ class TestFourier:
         assert np.all(again == uncached_transform(x, pos, -1j))
 
 
+def out_of_place_steps(x, psi, t_final, steps):
+    """Strang steps through np.fft.fft and ifft, a fresh array each time."""
+    dt = t_final / steps
+    k = 2.0 * math.pi * np.fft.fftfreq(x.size, d=float(x[1] - x[0]))
+    half_potential = np.exp(-0.25j * dt * x * x)
+    kinetic = np.exp(-0.5j * dt * k * k)
+    for _ in range(steps):
+        psi = half_potential * psi
+        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        psi = half_potential * psi
+    return psi
+
+
 class TestSplitStep:
     def test_ground_state_full_period(self):
         x = uniform_grid(-12.0, 12.0, 1024)
@@ -238,6 +251,25 @@ class TestSplitStep:
             psi = half_potential * psi
         got = split_step_propagate(x, starts, 1.0, steps)
         assert np.array_equal(psi.view(np.uint64), got.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(1024,), (1, 1024)],
+                             ids=["row", "block-of-one"])
+    def test_equals_out_of_place_steps_on_one_row(self, shape):
+        x = uniform_grid(-12.0, 12.0, 1024)
+        start = eval_psi(StateSpec(EXAMPLE3, 2), x, 0.0).reshape(shape)
+        got = split_step_propagate(x, start, 1.0, 200)
+        want = out_of_place_steps(x, start, 1.0, 200)
+        assert got.shape == want.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_equals_out_of_place_steps_on_1000_points(self, presets):
+        # 1/1000 is not a power of two, so ifft's scale factor rounds.
+        x = uniform_grid(-12.0, 12.0, 1000)
+        starts = np.stack([eval_psi(StateSpec(cfg.params, cfg.n), x, 0.0)
+                           for cfg in presets.values()])
+        got = split_step_propagate(x, starts, 1.0, 200)
+        want = out_of_place_steps(x, starts, 1.0, 200)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_leaves_its_input_alone(self):
         x = uniform_grid(-12.0, 12.0, 256)

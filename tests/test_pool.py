@@ -246,15 +246,20 @@ def test_pool_runs_without_the_blas_symbols(monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("argv", [["verify", "--preset", "example3"],
-                                  ["moments", "--preset", "example3",
-                                   "--check"]],
-                         ids=["verify", "moments-check"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "example3"],
+    ["moments", "--preset", "example3", "--check"],
+    *(["verify", "--preset", name]
+      for name in ("schrodinger", "example1", "example2", "minuncert")),
+    ["verify", "--preset", "example3", "--tau-convention", "minus_gamma"]],
+    ids=["verify", "moments-check", "verify-schrodinger", "verify-example1",
+         "verify-example2", "verify-minuncert", "verify-example3-minus_gamma"])
 def test_fresh_process_prints_the_same_on_one_core(argv):
     # Fresh processes, with all of this process's cores and with the first
     # alone.  The pooled one caps its BLAS just before it forks, the path
     # that real workers inherit; no test in this process can take it, since
-    # this process's BLAS stays capped from its first pooled map on.
+    # this process's BLAS stays capped from its first pooled map on.  A
+    # scoped verify runs its three jobs on two workers, or in order on one.
     pooled, serial = (run_cli(argv, one_core=one_core)
                       for one_core in (False, True))
     assert pooled.stdout and pooled.stderr == ""
