@@ -40,9 +40,9 @@ worker's core.  The parent keeps that cap, since setting the count back
 would start OpenBLAS's helper threads again.  moments --check, which never
 forks, and a serial run keep OpenBLAS's own threads.  moments --check
 passes its frames to the DFT CHECK_FRAMES at a time; each call builds the
-quadrature kernel once, strip by strip, and never holds it whole.  moments writes its table with
-repr, which gives csvtext's bytes; only evolve's frames load csvtext, and
-only verify loads the battery (`verification`).
+quadrature kernel once, strip by strip, and never holds it whole.  moments
+writes its table with repr, which gives csvtext's bytes; only evolve's frames
+load csvtext, and only verify loads the battery (`verification`).
 """
 
 import argparse

@@ -20,8 +20,6 @@ SCHEMA_VERSION = 1
 
 OUTPUT_KINDS = ("position_density", "momentum_density", "moments", "wavefunction")
 
-PRESET_NAMES = ("schrodinger", "example1", "example2", "example3", "minuncert")
-
 # Upper bounds on a run's size.  At 8192 points, the verification battery's
 # largest grid, `moments --check` holds one 8 MiB strip of the quadrature
 # kernel and a few 32 MiB blocks of 256 frames, and spends seconds per 256
@@ -84,38 +82,31 @@ class RunConfig:
             raise ConfigError("outputs must not be empty")
 
     def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "params": asdict(self.params),
-            "n": self.n,
-            "grid": asdict(self.grid),
-            "time": asdict(self.time),
-            "outputs": list(self.outputs),
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self),
+                "outputs": list(self.outputs)}
 
 
-def _preset_params(name):
-    third2 = 2.0 / 3.0
-    if name == "schrodinger":
-        return OscillatorParams(mu0=1.0, beta0=1.0)
-    if name in ("example1", "example2"):
-        return OscillatorParams(mu0=1.5, beta0=third2, delta0=1.0)
-    if name == "example3":
-        return OscillatorParams(mu0=1.5, beta0=third2, delta0=1.5)
-    if name == "minuncert":
-        beta0 = 0.64 ** 0.25
-        return OscillatorParams(mu0=1.0 / beta0, alpha0=0.3, beta0=beta0)
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+_MINUNCERT_BETA0 = 0.64 ** 0.25
+_PRESET_PARAMS = {
+    "schrodinger": OscillatorParams(mu0=1.0, beta0=1.0),
+    "example1": OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0),
+    "example2": OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0),
+    "example3": OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.5),
+    "minuncert": OscillatorParams(mu0=1.0 / _MINUNCERT_BETA0, alpha0=0.3,
+                                  beta0=_MINUNCERT_BETA0),
+}
+PRESET_NAMES = tuple(_PRESET_PARAMS)
 
 
 def preset_config(name):
     """Built-in run configuration for one of the named presets."""
-    params = _preset_params(name)
+    if name not in _PRESET_PARAMS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     outputs = ["position_density", "wavefunction"]
     if name == "example3":
         outputs.append("momentum_density")
     return RunConfig(
-        params=params,
+        params=_PRESET_PARAMS[name],
         n=1 if name == "example2" else 0,
         grid=GridSpec(-12.0, 12.0, 1024),
         time=TimeSpec(0.0, 2.0 * math.pi, 1001),
@@ -123,8 +114,11 @@ def preset_config(name):
     )
 
 
-_OPTIONAL_PARAMS = ("alpha0", "gamma0", "delta0", "eps0", "kappa0")
-_TOP_KEYS = ("schema_version", "params", "n", "grid", "time", "outputs")
+# The params a config may leave out, and their values then.  These are not
+# OscillatorParams' own defaults: a config must give beta0.
+_OPTIONAL_PARAMS = dict.fromkeys(
+    ("alpha0", "gamma0", "delta0", "eps0", "kappa0"), 0.0)
+_TOP_KEYS = ("schema_version", *(f.name for f in fields(RunConfig)))
 
 
 def _require(mapping, key, kind, where):
@@ -154,6 +148,19 @@ def _reject_unknown(mapping, allowed, where):
                           f"allowed: {list(allowed)}")
 
 
+def _section(cls, mapping, where, defaults=None):
+    """cls built from the JSON object `mapping`, section `where` of a config:
+    each field of cls read by `_require` as its annotated type, with
+    `defaults` for the keys that may be left out."""
+    _reject_unknown(mapping, [f.name for f in fields(cls)], where)
+    mapping = {**(defaults or {}), **mapping}
+    try:
+        return cls(**{f.name: _require(mapping, f.name, f.type, f"{where}.")
+                      for f in fields(cls)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def config_from_dict(raw):
     """Build and validate a RunConfig from parsed JSON."""
     if not isinstance(raw, dict):
@@ -166,30 +173,13 @@ def config_from_dict(raw):
     p = raw.get("params")
     if not isinstance(p, dict):
         raise ConfigError("missing 'params' object")
-    _reject_unknown(p, [f.name for f in fields(OscillatorParams)], "params")
-    p = {**dict.fromkeys(_OPTIONAL_PARAMS, 0.0), **p}
-    try:
-        params = OscillatorParams(**{
-            f.name: _require(p, f.name, float, "params.")
-            for f in fields(OscillatorParams)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _section(OscillatorParams, p, "params", _OPTIONAL_PARAMS)
     g = raw.get("grid", {})
     t = raw.get("time", {})
     if not isinstance(g, dict) or not isinstance(t, dict):
         raise ConfigError("'grid' and 'time' must be objects")
-    _reject_unknown(g, [f.name for f in fields(GridSpec)], "grid")
-    _reject_unknown(t, [f.name for f in fields(TimeSpec)], "time")
-    grid = GridSpec(
-        x_min=_require(g, "x_min", float, "grid."),
-        x_max=_require(g, "x_max", float, "grid."),
-        points=_require(g, "points", int, "grid."),
-    )
-    time = TimeSpec(
-        t_start=_require(t, "t_start", float, "time."),
-        t_end=_require(t, "t_end", float, "time."),
-        frames=_require(t, "frames", int, "time."),
-    )
+    grid = _section(GridSpec, g, "grid")
+    time = _section(TimeSpec, t, "time")
     outputs = raw.get("outputs")
     if not isinstance(outputs, (list, tuple)):
         raise ConfigError("'outputs' must be a list")

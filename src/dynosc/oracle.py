@@ -14,19 +14,20 @@ transformed time tau(t).  Both candidate conventions tau = -gamma and
 tau = -2 gamma are implemented; the residual decides between them (the
 factor-two clock is the one that makes the textbook case the identity map).
 
-The quadrature transform and moments take a (T, N) block of finite amplitude
-rows on one grid, or one (N,) row (`dft_momentum_rows`,
-`quadrature_moment_rows`), and check both before any arithmetic.  The
-transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP rows at a time
-and applies each strip to every row of the block, weighting the row into one
-reused (N,) scratch just before its product.  So a call holds its result, one
-strip (1 MiB at 1,024 points) and one row beside its input, never a weighted
-copy of the block, but builds the whole kernel again: callers pass all of
-their rows in one call.  Every row goes through its own matrix-vector
+The row oracles (`dft_momentum_rows`, `quadrature_moment_rows` and
+`split_step_propagate`) take a (T, N) block of amplitude rows on one grid, or
+one (N,) row, and check both before any arithmetic: the grid by `check_grid`
+(1-D, uniform, increasing, 16 points or more), the rows for shape and finite
+values.  The transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP
+rows at a time and applies each strip to every row of the block, weighting the
+row into one reused (N,) scratch just before its product.  So a call holds its
+result, one strip (1 MiB at 1,024 points) and one row beside its input, never
+a weighted copy of the block, but builds the whole kernel again: callers pass
+all of their rows in one call.  Every row goes through its own matrix-vector
 products, so a block gives the same bits as one call per row.  Callers
 evaluate long runs of times with `psi_rows`, in blocks of at most
-BLOCK_SAMPLES samples.  `split_step_propagate` likewise maps an (N,) row or a
-(T, N) block of position amplitudes on a grid to an array of the same shape.
+BLOCK_SAMPLES samples.  `split_step_propagate` maps its rows to an array of
+the same shape.
 """
 
 import math
@@ -113,7 +114,8 @@ def _strips(n):
 
 def _check_rows(grid, rows):
     """rows as an array: one (N,) row or a (T, N) block of finite amplitudes
-    on grid."""
+    on grid, a grid that passes `check_grid`."""
+    check_grid(grid)
     rows = np.asarray(rows)
     if rows.ndim not in (1, 2) or rows.shape[-1] != grid.size:
         raise DomainError("expected (N,) or (T, N) amplitude rows on the grid")
@@ -122,11 +124,11 @@ def _check_rows(grid, rows):
     return rows
 
 
-def _quadrature_transform(grid, rows, phase):
-    """Trapezoid sums of e^{phase k x} f(x) / sqrt(2 pi) onto the grid, for
+def _quadrature_transform(grid, rows):
+    """Trapezoid sums of e^{-ipx} f(x) / sqrt(2 pi) at each grid value p, for
     each row f of a (T, N) amplitude block on that grid, or for one (N,) row.
 
-    The kernel exp(phase * outer(k, x)) is built one strip of rows at a time
+    The kernel exp(-1j * outer(p, x)) is built one strip of rows at a time
     into one buffer, and each strip is applied to every row while it is
     still in cache, so the call holds one strip beside the rows, never the
     N^2 kernel.  Each row is weighted into one scratch row just before its
@@ -145,7 +147,7 @@ def _quadrature_transform(grid, rows, phase):
     for strip in _strips(grid.size):
         kernel = buffer[:strip.stop - strip.start]
         np.multiply.outer(grid[strip], grid, out=kernel)
-        kernel *= phase
+        kernel *= -1j
         np.exp(kernel, out=kernel)
         for row, values in pairs:
             np.multiply(weights, values, out=weighted)
@@ -171,7 +173,7 @@ def dft_momentum_rows(grid, rows):
         warnings.warn(
             "boundary density exceeds 1e-12; momentum samples lose accuracy",
             PrecisionWarning, stacklevel=2)
-    return _quadrature_transform(grid, rows, -1j)
+    return _quadrature_transform(grid, rows)
 
 
 def split_step_propagate(grid, rows, t_final, steps):
@@ -187,11 +189,7 @@ def split_step_propagate(grid, rows, t_final, steps):
     bit-identical to one call per row.
     """
     x = np.asarray(grid, dtype=float)
-    check_grid(x)
-    psi = np.array(rows, dtype=complex)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != x.size:
-        raise DomainError("split_step_propagate expects (N,) or (T, N) "
-                          "amplitude rows on the grid")
+    psi = np.array(_check_rows(x, rows), dtype=complex)
     if not t_final > 0:
         raise DomainError("t_final must be positive")
     steps = int(steps)

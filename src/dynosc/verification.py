@@ -27,6 +27,7 @@ from .config import PRESET_NAMES, preset_config
 from .flows import (BETA0_QUARTIC, BETA0_SQUARED, OscillatorParams,
                     classical_moments, flow,
                     is_minimum_uncertainty_family, momentum_params)
+from .hermite import hermite_function
 from .operators import (ANNIHILATION, CREATION, commutator, invariant,
                         ladder, rayleigh)
 from .oracle import (MINUS_GAMMA, MINUS_TWO_GAMMA, comoving_residual,
@@ -195,7 +196,6 @@ def ladder_algebra():
 # -- criterion 4: textbook limit ---------------------------------------------
 
 def textbook_limit():
-    from .hermite import hermite_function
     cfg = preset_config("schrodinger")
     x = uniform_grid(-12.0, 12.0, 1024)
     worst_point = 0.0

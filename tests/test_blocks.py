@@ -55,7 +55,8 @@ def signed_zero_grid():
     return grid
 
 
-# Not uniform; the transforms take it all the same.
+# Not uniform: the row oracles refuse it, and the strip tests give it to the
+# transform underneath them, whose arithmetic takes any grid.
 SIGNED_ZERO_GRID = signed_zero_grid()
 
 
@@ -84,12 +85,10 @@ def decaying_rows(grid, count):
     return values * np.exp(-0.5 * grid * grid)
 
 
-def streamed(phase, grid, rows):
-    """The transform of one row or a block: dft_momentum_rows for e^{-ipx},
-    the inverse quadrature for e^{+ipx}."""
-    if phase == -1j:
-        return oracle.dft_momentum_rows(grid, rows)
-    return oracle._quadrature_transform(grid, rows, phase)
+def streamed(grid, rows):
+    """The strip-built e^{-ipx} transform of one row or a block, without the
+    row check of `dft_momentum_rows`."""
+    return oracle._quadrature_transform(grid, rows)
 
 
 class TestStripKernel:
@@ -98,7 +97,7 @@ class TestStripKernel:
     At 65 and 1,025 points a plain 64-row split would leave a 1-row strip,
     whose product sums in another order."""
 
-    @pytest.mark.parametrize("phase", [-1j, 1j])
+    @pytest.mark.parametrize("phase", [-1j])
     @pytest.mark.parametrize("grid", [
         uniform_grid(-12.0, 12.0, 16), uniform_grid(-12.0, 12.0, 17),
         uniform_grid(-12.0, 12.0, 65), uniform_grid(-14.0, 14.0, 1000),
@@ -108,20 +107,20 @@ class TestStripKernel:
     def test_equals_full_build(self, grid, phase):
         block = decaying_rows(grid, 5)
         want = full_product(phase, grid, block)
-        assert np.array_equal(bits(streamed(phase, grid, block)), bits(want))
+        assert np.array_equal(bits(streamed(grid, block)), bits(want))
         for k in (0, 4):
-            assert np.array_equal(bits(streamed(phase, grid, block[k])),
+            assert np.array_equal(bits(streamed(grid, block[k])),
                                   bits(want[k]))
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("phase", [-1j, 1j])
+    @pytest.mark.parametrize("phase", [-1j])
     def test_equals_full_build_at_4096_points(self, phase):
         # The reference holds one 256 MiB kernel.
         grid = uniform_grid(-12.0, 12.0, 4096)
         block = decaying_rows(grid, 3)
         want = full_product(phase, grid, block)
-        assert np.array_equal(bits(streamed(phase, grid, block)), bits(want))
-        assert np.array_equal(bits(streamed(phase, grid, block[1])),
+        assert np.array_equal(bits(streamed(grid, block)), bits(want))
+        assert np.array_equal(bits(streamed(grid, block[1])),
                               bits(want[1]))
 
     def test_strips_tile_the_rows_without_a_1_row_strip(self):
@@ -322,9 +321,9 @@ class TestOneTransformPerCaller:
         shapes = []
         real = oracle._quadrature_transform
 
-        def counting(grid, rows, phase):
+        def counting(grid, rows):
             shapes.append(rows.shape)
-            return real(grid, rows, phase)
+            return real(grid, rows)
 
         monkeypatch.setattr(oracle, "_quadrature_transform", counting)
         return shapes

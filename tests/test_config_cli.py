@@ -15,15 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dynosc import (ConfigError, DomainError, PrecisionWarning, StateSpec,
-                    eval_momentum, eval_psi, uniform_grid)
+from dynosc import (ConfigError, DomainError, OscillatorParams,
+                    PrecisionWarning, StateSpec, eval_momentum, eval_psi,
+                    uniform_grid)
 from dynosc import cli, pool
 from dynosc import verification as ver
 from dynosc.cli import main
-from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, PRESET_NAMES,
-                           RunConfig, config_from_dict, load_config,
-                           preset_config)
+from dynosc.config import (MAX_FRAMES, MAX_GRID_POINTS, OUTPUT_KINDS,
+                           PRESET_NAMES, GridSpec, RunConfig, TimeSpec,
+                           config_from_dict, load_config, preset_config)
 from dynosc.csvtext import CsvText
+from dynosc.hermite import N_MAX
+from dynosc.states import MIN_GRID_POINTS
 
 from conftest import EDGE_VALUES, assert_no_child_left, run_cli
 
@@ -57,15 +60,89 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+LEFT_OUT = object()
+
+
 def with_value(field, value):
-    """A valid config with the field at key path `field` set to value."""
+    """A valid config with the field at key path `field` set to value, or
+    without that field if value is LEFT_OUT."""
     raw = valid_config()
     *parents, key = field
     target = raw
     for parent in parents:
         target = target[parent]
-    target[key] = value
+    if value is LEFT_OUT:
+        del target[key]
+    else:
+        target[key] = value
     return raw
+
+
+# The one message that a config with one error in one place gets: a missing
+# key, a non-number, a non-finite number, a non-integer (the number fields
+# of params take any finite number) and an unknown key in each section.
+SINGLE_ERRORS = [
+    (("params",), LEFT_OUT, "missing 'params' object"),
+    (("params", "mu0"), LEFT_OUT, "missing params.'mu0'"),
+    (("params", "beta0"), LEFT_OUT, "missing params.'beta0'"),
+    (("params", "alpha0"), "0.5", "params.'alpha0' must be a number"),
+    (("params", "kappa0"), True, "params.'kappa0' must be a number"),
+    (("params", "mu0"), math.inf, "params.'mu0' must be a finite number"),
+    (("params", "delta0"), math.nan, "params.'delta0' must be a finite number"),
+    (("params", "gamma0"), 10 ** 400,
+     "params.'gamma0' must be a finite number"),
+    (("params", "mu_0"), 1.0,
+     "unknown keys in params: ['mu_0']; allowed: ['mu0', 'alpha0', 'beta0', "
+     "'gamma0', 'delta0', 'eps0', 'kappa0']"),
+    (("grid",), 3, "'grid' and 'time' must be objects"),
+    (("grid",), LEFT_OUT, "missing grid.'x_min'"),
+    (("grid", "points"), LEFT_OUT, "missing grid.'points'"),
+    (("grid", "x_max"), "10", "grid.'x_max' must be a number"),
+    (("grid", "x_min"), math.nan, "grid.'x_min' must be a finite number"),
+    (("grid", "points"), 64.0, "grid.'points' must be an integer"),
+    (("grid", "points"), math.inf, "grid.'points' must be an integer"),
+    (("grid", "step"), 0.1,
+     "unknown keys in grid: ['step']; allowed: ['x_min', 'x_max', 'points']"),
+    (("time",), [], "'grid' and 'time' must be objects"),
+    (("time", "t_start"), LEFT_OUT, "missing time.'t_start'"),
+    (("time", "frames"), LEFT_OUT, "missing time.'frames'"),
+    (("time", "t_end"), [1.0], "time.'t_end' must be a number"),
+    (("time", "t_end"), -math.inf, "time.'t_end' must be a finite number"),
+    (("time", "frames"), 3.0, "time.'frames' must be an integer"),
+    (("time", "frames"), "3", "time.'frames' must be an integer"),
+    (("time", "frame"), 3,
+     "unknown keys in time: ['frame']; allowed: ['t_start', 't_end', "
+     "'frames']"),
+    (("n",), LEFT_OUT, "missing 'n'"),
+    (("n",), "0", "'n' must be an integer"),
+    (("n",), math.inf, "'n' must be an integer"),
+    (("n",), 1.5, "'n' must be an integer"),
+    (("n",), False, "'n' must be an integer"),
+    (("colour",), "red",
+     "unknown keys in config: ['colour']; allowed: ['schema_version', "
+     "'params', 'n', 'grid', 'time', 'outputs']"),
+]
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6)
+VALID_CONFIGS = st.builds(
+    RunConfig,
+    params=st.builds(
+        OscillatorParams, mu0=st.floats(min_value=1e-6, max_value=1e6),
+        alpha0=FINITE, gamma0=FINITE, delta0=FINITE, eps0=FINITE,
+        kappa0=FINITE,
+        beta0=st.floats(min_value=1e-3, max_value=1e3)
+        | st.floats(min_value=-1e3, max_value=-1e-3)),
+    n=st.integers(min_value=0, max_value=N_MAX),
+    grid=st.builds(
+        lambda ends, points: GridSpec(*ends, points),
+        st.lists(FINITE, min_size=2, max_size=2, unique=True).map(sorted),
+        st.integers(min_value=MIN_GRID_POINTS, max_value=MAX_GRID_POINTS)),
+    time=st.builds(
+        lambda ends, frames: TimeSpec(*ends, frames),
+        st.lists(FINITE, min_size=2, max_size=2).map(sorted),
+        st.integers(min_value=1, max_value=MAX_FRAMES)),
+    outputs=st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1,
+                     max_size=4).map(tuple))
 
 
 def write_config(tmp_path, **overrides):
@@ -158,6 +235,21 @@ class TestConfig:
         raw["time"]["frames"] = MAX_FRAMES
         cfg = config_from_dict(raw)
         assert (cfg.grid.points, cfg.time.frames) == (8192, 100_000)
+
+    @pytest.mark.parametrize("field,value,message", SINGLE_ERRORS)
+    def test_single_error_message(self, field, value, message):
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(with_value(field, value))
+        assert str(caught.value) == message
+
+    def test_params_but_mu0_and_beta0_default_to_zero(self):
+        raw = valid_config()
+        raw["params"] = {"mu0": 1.0, "beta0": 1.0}
+        assert config_from_dict(raw) == config_from_dict(valid_config())
+
+    @given(cfg=VALID_CONFIGS)
+    def test_to_dict_round_trips_through_json(self, cfg):
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_config_from_dict_requires_object(self):
         with pytest.raises(ConfigError):

@@ -93,8 +93,9 @@ def uncached_transform(x, amplitudes, phase):
 
 
 def idft_position(x, amplitudes):
-    """Inverse transform (kernel e^{+ipx}/sqrt(2 pi)) back to position."""
-    return _quadrature_transform(x, amplitudes, 1j)
+    """Inverse transform (kernel e^{+ipx}/sqrt(2 pi)) back to position: the
+    conjugate of the forward transform of the conjugate amplitudes."""
+    return np.conj(_quadrature_transform(x, np.conj(amplitudes)))
 
 
 def norm(x, amplitudes):
@@ -143,7 +144,7 @@ class TestFourier:
             dft_momentum_rows(x, psi)
 
     # The kernel built in strips must reproduce the quadrature with a kernel
-    # built whole, bit for bit, whatever order grids and signs arrive in.
+    # built whole, bit for bit, whatever order grids and directions arrive in.
     def test_alternating_grids(self):
         spec = StateSpec(EXAMPLE3, 1)
         for a in (12.0, 14.0, 12.0):
@@ -351,11 +352,16 @@ class TestQuadratureMoment:
             quadrature_moment_rows(x, np.stack([hermite_function(0, x), psi]))
 
 
+def split_step_rows(grid, rows):
+    return split_step_propagate(grid, rows, 1.0, 128)
+
+
 @pytest.mark.parametrize("transform", [dft_momentum_rows,
-                                       quadrature_moment_rows])
+                                       quadrature_moment_rows,
+                                       split_step_rows])
 class TestRowChecks:
-    """Both row calls check their rows before any arithmetic, so a bad row
-    is a DomainError, never a NumPy error or warning."""
+    """The row oracles check their grid and rows before any arithmetic, so a
+    bad grid or row is a DomainError, never a NumPy error or warning."""
 
     def test_rejects_rows_off_the_grid(self, transform):
         x = uniform_grid(-12.0, 12.0, 1024)
@@ -383,6 +389,22 @@ class TestRowChecks:
                 transform(x, rows)
             with pytest.raises(DomainError, match="amplitudes must be finite"):
                 transform(x, rows[1])
+
+    @pytest.mark.parametrize("grid", [
+        uniform_grid(-12.0, 12.0, 1024) ** 3 / 144.0,
+        uniform_grid(-12.0, 12.0, 1024)[::-1],
+        np.linspace(-12.0, 12.0, 15)],
+        ids=["non-uniform", "reversed", "15-points"])
+    def test_rejects_grids_that_check_grid_refuses(self, transform, grid):
+        # Trapezoid sums with dx = grid[1] - grid[0] would weight such a grid
+        # wrongly and return all the same.
+        rows = hermite_function(0, grid).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="grid must be"):
+                transform(grid, rows)
+            with pytest.raises(DomainError, match="grid must be"):
+                transform(grid, np.stack([rows, rows]))
 
 
 class TestOracleTriangle:
