@@ -6,14 +6,15 @@
     dynosc moments (--preset NAME | --config PATH) [--check]
 
 Exit codes: 0 all checks pass / files written, 1 check failure, 2 config
-error, 3 I/O error or a worker process that ended unexpectedly.  Frame CSVs
-carry the header x,density,re_psi,im_psi (p,density,re_a,im_a for momentum
-frames), LF line endings, and floats as shortest round-trip decimals, so
-identical configs produce byte-identical output.  Each evolve run writes a
-manifest.json listing every written file with its sha256.  evolve reuses an
-output directory only if it is empty or holds a readable manifest.json
-(exit 3 otherwise), and once its own files are staged it removes the files
-that manifest lists under evolve's own file names.
+error, 3 I/O error (stdout, files, or a fork that fails) or a worker process
+that ended unexpectedly.  Frame CSVs carry the header x,density,re_psi,im_psi
+(p,density,re_a,im_a for momentum frames), LF line endings, and floats as
+shortest round-trip decimals, so identical configs produce byte-identical
+output.  Each evolve run writes a manifest.json listing every written file
+with its sha256.  evolve reuses an output directory only if it is empty or
+holds a readable manifest.json (exit 3 otherwise), and once its own files
+are staged it removes the files that manifest lists under evolve's own file
+names.
 
 verify and evolve run on every usable core (`pool.ordered_map`), and a
 serial run is `taskset -c 0`.  verify's parent alone prints.  An evolve job
@@ -350,6 +351,19 @@ def _warning_line(message, category, filename, lineno, line=None):
     return f"warning: {message}\n"
 
 
+def _drop_unwritable_stdout():
+    """Point fd 1 at os.devnull if the process's own stdout still cannot
+    take its buffered text, so that the interpreter's flush at exit neither
+    fails again nor turns the exit code into 120."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # Workers fork with this format, so a pooled run prints the same line.
@@ -357,7 +371,10 @@ def main(argv=None):
     warnings.formatwarning = _warning_line
     try:
         config = _resolve_config(args)
-        return args.func(args, config)
+        code = args.func(args, config)
+        # A full or closed stdout fails here at the latest, not at exit.
+        sys.stdout.flush()
+        return code
     # Domain and overflow errors: valid-looking data float64 cannot represent.
     except (ConfigError, DomainError, OverflowError) as exc:
         reason = "float64 overflow" if isinstance(exc, OverflowError) else exc
@@ -365,6 +382,11 @@ def main(argv=None):
         return EXIT_CONFIG
     except WorkerDied:
         print("worker process ended unexpectedly", file=sys.stderr)
+        return EXIT_IO
+    # Writing stdout, or forking a worker.
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        _drop_unwritable_stdout()
         return EXIT_IO
     finally:
         warnings.formatwarning = formatwarning

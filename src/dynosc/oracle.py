@@ -13,6 +13,9 @@ which maps the evolution equation into itself for the correct choice of the
 transformed time tau(t).  Both candidate conventions tau = -gamma and
 tau = -2 gamma are implemented; the residual decides between them (the
 factor-two clock is the one that makes the textbook case the identity map).
+Both residual oracles take a scalar t or an array of times, evaluate each
+time and its two neighbours in one call, and share one kernel, `_residual`;
+each time gets the bits of a call of its own.
 
 The row oracles (`dft_momentum_rows`, `quadrature_moment_rows` and
 `split_step_propagate`) take a (T, N) block of amplitude rows on one grid, or
@@ -67,10 +70,15 @@ class PrecisionWarning(UserWarning):
     """A quadrature precondition is marginal; the result may lose accuracy."""
 
 
-def _relative_l2(residual, reference, dx):
-    ref_l2 = l2_norm(interior(reference), dx)
+def _residual(x, before, f, after, span):
+    """L2 norm of 2i f_t + f_xx - x^2 f relative to f on the uniform grid x,
+    without the boundary margin, one per row of f (a float for one row):
+    f_t = (after - before) / span, f_xx the 4th-order stencil."""
+    dx = float(x[1] - x[0])
+    residual = 2j * ((after - before) / span) + diff2(f, dx) - x * x * f
+    ref_l2 = l2_norm(interior(f), dx)
     # Zero when every sample underflowed.
-    if ref_l2 == 0:
+    if np.any(ref_l2 == 0):
         raise DomainError("the state vanishes on the interior grid")
     return l2_norm(interior(residual), dx) / ref_l2
 
@@ -80,16 +88,16 @@ def schrodinger_residual(spec, grid, t, dt=1e-4):
 
     psi_t is the 2nd-order central difference of closed-form samples at
     t +- dt; psi_xx is the 4th-order stencil.  Returns the L2 norm relative
-    to psi, without the boundary margin.
+    to psi, without the boundary margin: a float for a scalar t, one per
+    time for an array of times.  The grid must pass `check_grid`.
     """
     if not dt > 0:
         raise DomainError("dt must be positive")
     x = np.asarray(grid, dtype=float)
-    dx = float(x[1] - x[0])
-    psi, after, before = eval_psi(spec, x, (t, t + dt, t - dt))
-    psi_t = (after - before) / (2.0 * dt)
-    residual = 2j * psi_t + diff2(psi, dx) - x * x * psi
-    return _relative_l2(residual, psi, dx)
+    check_grid(x)
+    t = np.asarray(t, dtype=float)
+    before, psi, after = eval_psi(spec, x, np.stack((t - dt, t, t + dt)))
+    return _residual(x, before, psi, after, 2.0 * dt)
 
 
 def psi_rows(spec, grid, times):
@@ -230,17 +238,20 @@ def split_step_propagate(grid, rows, t_final, steps):
 
 
 def comoving_frame(spec, t, tau_convention):
-    """Reconstruct chi(xi, tau) from the closed-form state at time t: the
-    comoving grid xi = beta x + eps, the time tau and the samples of chi."""
+    """Reconstruct chi(xi, tau) from the closed-form state at time t, a
+    scalar or an array of times: the comoving grid xi = beta x + eps, the
+    time tau of each time and the samples of chi, one row per time."""
     if tau_convention not in _TAU_CONVENTIONS:
         raise DomainError(f"tau convention must be one of {_TAU_CONVENTIONS}")
     xi = np.linspace(-10.0, 10.0, 2048)
-    st = flow(spec.params, t)
+    t = np.asarray(t, dtype=float)
+    # The flow as a column, so that each time has its own row of x.
+    st = flow(spec.params, t[..., None])
     x = (xi - st.eps) / st.beta
     strip = np.exp(-1j * ((st.alpha * x + st.delta) * x + st.kappa))
-    chi = math.sqrt(st.mu) * strip * eval_psi(spec, x, t)
+    chi = np.sqrt(st.mu) * strip * eval_psi(spec, x, t)
     factor = -1.0 if tau_convention == MINUS_GAMMA else -2.0
-    return xi, factor * st.gamma, chi
+    return xi, factor * st.gamma[..., 0], chi.reshape(t.shape + xi.shape)
 
 
 def comoving_residual(spec, t, tau_convention):
@@ -248,20 +259,18 @@ def comoving_residual(spec, t, tau_convention):
 
     chi_tau is formed by the chain rule: closed-form reconstructions at
     t +- 1e-5 divided by the tau increment of the chosen convention.
-    Returns the L2 norm relative to chi, without the boundary margin.
+    Returns the L2 norm relative to chi, without the boundary margin: a
+    float for a scalar t, one per time for an array of times.
     """
     dt = 1e-5
-    _, tau_before, chi_before = comoving_frame(spec, t - dt, tau_convention)
-    xi, _, chi = comoving_frame(spec, t, tau_convention)
-    _, tau_after, chi_after = comoving_frame(spec, t + dt, tau_convention)
-    dtau = tau_after - tau_before
-    if abs(dtau) < 1e-14:
+    t = np.asarray(t, dtype=float)
+    xi, tau, chi = comoving_frame(spec, np.stack((t - dt, t, t + dt)),
+                                  tau_convention)
+    dtau = tau[2] - tau[0]
+    if np.any(np.abs(dtau) < 1e-14):
         raise DomainError(
-            "comoving clock is stationary at this t; resample elsewhere")
-    chi_tau = (chi_after - chi_before) / dtau
-    dxi = float(xi[1] - xi[0])
-    residual = 2j * chi_tau + diff2(chi, dxi) - xi * xi * chi
-    return _relative_l2(residual, chi, dxi)
+            "comoving clock is stationary at a sampled t; resample elsewhere")
+    return _residual(xi, *chi, dtau[..., None])
 
 
 def quadrature_moment_rows(grid, rows):

@@ -144,7 +144,13 @@ def ordered_map(fn, jobs):
     try:
         for _ in range(min(cores, len(jobs))):
             fd, results = os.pipe()
-            if (pid := os.fork()) == 0:
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(results)
+                raise
+            if pid == 0:
                 _serve(fn, jobs, tasks, results, (feed, fd, *workers))
             os.close(results)
             workers[fd] = pid

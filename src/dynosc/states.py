@@ -78,8 +78,9 @@ def uniform_grid(x_min, x_max, points):
 def _assemble(spec, x, t, with_lewis_phase):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    # An array t gets one trailing axis per axis of x: one row of x per time.
-    state = flow(spec.params, t.reshape(t.shape + (1,) * x.ndim) if t.ndim else t)
+    # An array t gets one trailing axis, so each time pairs with its own row
+    # of x; a 1-D x is one row for every time.
+    state = flow(spec.params, t[..., None] if t.ndim else t)
     xi = state.beta * x + state.eps
     envelope = hermite_function(spec.n, xi) / np.sqrt(state.mu)
     phase = (state.alpha * x + state.delta) * x + state.kappa
@@ -92,7 +93,8 @@ def _assemble(spec, x, t, with_lewis_phase):
 
 
 def eval_psi(spec, x, t):
-    """psi_n(x, t) for a scalar or array x and t, of shape t.shape + x.shape."""
+    """psi_n(x, t) for a scalar or array x and t; an array t pairs each time
+    with a row of x, of shape np.broadcast_shapes(t.shape + (1,), x.shape)."""
     return _assemble(spec, x, t, with_lewis_phase=True)
 
 

@@ -1099,6 +1099,28 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path)]) == 2
         assert "config error: cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--preset", "schrodinger"],
+        ["moments", "--preset", "example3"]], ids=["verify", "moments"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_3_with_one_line(self, argv, unbuffered):
+        # A buffered stdout still holds the text when main returns: the
+        # interpreter's flush at exit must not fail on it again.
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "dynosc.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        assert done.returncode == 3
+        assert done.stderr.startswith("I/O error: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_beta0sq_negative_control_fails(self, capsys):
         code = main(["verify", "--preset", "example3",
                      "--appendix-b-denominator", "beta0sq"])

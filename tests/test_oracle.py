@@ -13,6 +13,9 @@ from dynosc import (DomainError, MINUS_GAMMA, MINUS_TWO_GAMMA,
                     split_step_propagate, uniform_grid)
 from dynosc.oracle import _quadrature_transform
 from dynosc.stencils import diff1, diff2, interior, l2_norm
+from dynosc.verification import RESIDUAL_GRID
+
+from conftest import EIGHT_TIMES
 
 SCHRODINGER = OscillatorParams(mu0=1.0, beta0=1.0)
 EXAMPLE1 = OscillatorParams(mu0=1.5, beta0=2.0 / 3.0, delta0=1.0)
@@ -81,6 +84,97 @@ class TestSchrodingerResidual:
         fine = schrodinger_residual(spec, uniform_grid(-8, 8, 1024), 0.7,
                                     1e-6)
         assert 12.0 <= coarse / fine <= 20.0
+
+    @pytest.mark.parametrize("grid", [
+        GRID[::-1],
+        np.concatenate((GRID[:512], GRID[512:] * 1.001)),
+        uniform_grid(-8.0, 8.0, 16)[:15],
+        np.stack((GRID, GRID))], ids=["reversed", "nonuniform", "15-point",
+                                      "2-D"])
+    def test_rejects_grid_that_fails_check_grid(self, grid):
+        with pytest.raises(DomainError, match="grid must"):
+            schrodinger_residual(StateSpec(SCHRODINGER, 0), grid, 0.7)
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+class TestResidualsOverTimes:
+    """Both residual oracles take an array of times and give one residual
+    per time, bit for bit the residual of each time on its own."""
+
+    @pytest.mark.parametrize("grid,dt", [
+        (uniform_grid(*RESIDUAL_GRID), 1e-4),
+        (uniform_grid(-12.0, 12.0, 4096), 1e-5)], ids=["pinned", "refined"])
+    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("name", ["example1", "example3", "minuncert"])
+    def test_schrodinger_equals_per_time_calls(self, presets, name, n, grid,
+                                               dt):
+        spec = StateSpec(presets[name].params, n)
+        got = schrodinger_residual(spec, grid, EIGHT_TIMES, dt)
+        want = [schrodinger_residual(spec, grid, t, dt) for t in EIGHT_TIMES]
+        assert got.shape == (8,)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_schrodinger_scalar_time_is_the_written_out_formula(self):
+        # The residual of one time, formed from three eval_psi rows as the
+        # formula reads, without the shared kernel.
+        spec, t, dt = StateSpec(EXAMPLE3, 5), 2.0, 1e-4
+        dx = float(GRID[1] - GRID[0])
+        psi = eval_psi(spec, GRID, t)
+        psi_t = (eval_psi(spec, GRID, t + dt)
+                 - eval_psi(spec, GRID, t - dt)) / (2.0 * dt)
+        residual = 2j * psi_t + diff2(psi, dx) - GRID * GRID * psi
+        want = l2_norm(interior(residual), dx) / l2_norm(interior(psi), dx)
+        assert schrodinger_residual(spec, GRID, t, dt) == want
+
+    @pytest.mark.parametrize("convention", [MINUS_GAMMA, MINUS_TWO_GAMMA])
+    def test_comoving_equals_per_time_calls(self, presets, convention):
+        times = (0.8, 2.0, 4.0)
+        for cfg in presets.values():
+            spec = StateSpec(cfg.params, cfg.n)
+            got = comoving_residual(spec, times, convention)
+            want = [comoving_residual(spec, t, convention) for t in times]
+            assert got.shape == (3,)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_comoving_frame_rows_equal_per_time_calls(self, presets, shape):
+        times = np.linspace(0.3, 5.1, math.prod(shape)).reshape(shape)
+        for cfg in presets.values():
+            spec = StateSpec(cfg.params, cfg.n)
+            xi, tau, chi = comoving_frame(spec, times, MINUS_TWO_GAMMA)
+            assert tau.shape == shape and chi.shape == shape + xi.shape
+            for k in np.ndindex(shape):
+                one_xi, one_tau, one_chi = comoving_frame(
+                    spec, times[k], MINUS_TWO_GAMMA)
+                assert np.array_equal(one_xi, xi) and one_tau == tau[k]
+                assert np.array_equal(bits(one_chi.view(float)),
+                                      bits(chi[k].view(float)))
+
+    def test_eval_psi_pairs_each_time_with_its_row_of_x(self):
+        spec = StateSpec(EXAMPLE1, 3)
+        times = np.array([0.3, 1.1, 2.9])
+        x = np.stack([uniform_grid(-6.0 + k, 6.0 + k, 64) for k in range(3)])
+        block = eval_psi(spec, x, times)
+        assert block.shape == (3, 64)
+        for row, grid, t in zip(block, x, times):
+            assert np.array_equal(bits(row.view(float)),
+                                  bits(eval_psi(spec, grid, t).view(float)))
+
+    def test_stationary_clock_at_any_time_is_an_error(self):
+        # beta0 = 1e-5 stops the comoving clock at t = 0.8, not at t = 2.0.
+        spec = StateSpec(OscillatorParams(mu0=1e5, beta0=1e-5), 0)
+        assert comoving_residual(spec, 2.0, MINUS_TWO_GAMMA) > 0
+        for times in (0.8, (0.8, 2.0), (2.0, 0.8)):
+            with pytest.raises(DomainError, match="stationary"):
+                comoving_residual(spec, times, MINUS_TWO_GAMMA)
+
+    def test_scalar_time_gives_a_float(self):
+        spec = StateSpec(EXAMPLE1, 1)
+        assert type(schrodinger_residual(spec, GRID, 0.7)) is float
+        assert type(comoving_residual(spec, 0.8, MINUS_TWO_GAMMA)) is float
 
 
 def uncached_transform(x, amplitudes, phase):

@@ -1,6 +1,7 @@
 """The fork pool: results in job order, errors at their job's place, and no
 worker left behind, whatever ends the map."""
 
+import errno
 import json
 import math
 import os
@@ -327,6 +328,67 @@ def test_dead_verify_worker_exits_3(argv):
     done = run_dying(["verify", *argv])
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "worker process ended unexpectedly\n"
+
+
+def failing_fork(monkeypatch, forks):
+    """Make os.fork succeed forks times and then fail with EAGAIN; the list
+    of the pids it forked."""
+    real, pids = os.fork, []
+
+    def fork():
+        if len(pids) == forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        if pid := real():
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                    reason="counts open descriptors through /proc")
+@pytest.mark.parametrize("forks", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("argv", [["--preset", "example3"], []],
+                         ids=["scoped", "battery"])
+def test_failed_fork_in_verify_exits_3(monkeypatch, capsys, argv, forks):
+    fds = open_fds()
+    pids = failing_fork(monkeypatch, forks)
+    assert main(["verify", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    reason = os.strerror(errno.EAGAIN)
+    assert err == f"I/O error: [Errno {errno.EAGAIN}] {reason}\n"
+    assert len(pids) == forks
+    assert_no_child_left()
+    assert open_fds() == fds
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                    reason="counts open descriptors through /proc")
+@pytest.mark.parametrize("forks", [0, 1], ids=["first", "second"])
+def test_failed_fork_in_evolve_exits_3_and_leaves_the_earlier_run(
+        tmp_path, monkeypatch, capsys, forks):
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", pooled_config(tmp_path, 2),
+                 "--out", str(out)]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    fds = open_fds()
+    pids = failing_fork(monkeypatch, forks)
+    assert main(["evolve", "--config", pooled_config(tmp_path, 20),
+                 "--out", str(out)]) == 3
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.count("\n") == 1
+    assert str(errno.EAGAIN) in err and "Traceback" not in err
+    assert len(pids) == forks
+    assert_no_child_left()
+    assert open_fds() == fds
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 def children(pid):
