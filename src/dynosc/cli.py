@@ -33,8 +33,9 @@ number of workers.  A worker that dies ends the run with exit 3.  A killed
 run leaves its staging directory behind; its workers exit once their job is
 done.  verify sends its criteria longest first, in the order of
 `verification.CRITERIA`.  A scoped verify sends three jobs in print
-order: the rows before the split-step row, that row alone, then the rows
-after it, so that on two cores the propagation has a core to itself.
+order: the rows before the split-step row, criterion 9
+(`verification.independent_propagation`) on the one member alone, then the
+rows after it, so that on two cores the propagation has a core to itself.
 The workers inherit one BLAS thread: the parent caps NumPy's OpenBLAS just
 before it forks, so no worker starts a helper thread to spin on the other
 worker's core.  The parent keeps that cap, since setting the count back
@@ -292,9 +293,6 @@ def cmd_evolve(args, config):
             os.replace(stage / name, out_dir / name)
             published.append(out_dir / name)
         complete = True
-    except OSError as exc:
-        print(f"write failed: {exc}", file=sys.stderr)
-        return EXIT_IO
     finally:
         if not complete:
             for path in published:

@@ -58,15 +58,15 @@ class OscillatorParams:
         values = (self.mu0, self.alpha0, self.beta0, self.gamma0,
                   self.delta0, self.eps0, self.kappa0)
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
-            raise ValueError("initial data must be finite real numbers")
+            raise DomainError("initial data must be finite real numbers")
         if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
+            raise DomainError("mu0 must be positive")
         try:
             quartic = float(self.beta0) ** 4
         except OverflowError:
             quartic = math.inf
         if not 0.0 < quartic < math.inf:
-            raise ValueError(
+            raise DomainError(
                 "beta0 must be nonzero, with a finite nonzero fourth power")
 
 

@@ -2,16 +2,21 @@
 
 Each criterion function returns CheckResult rows with the measured value and
 its bound; `run_acceptance` evaluates the full battery and the CLI prints one
-PASS/FAIL line per row.  Tolerances are pinned here, not in the callers.
+PASS/FAIL line per row.  Tolerances are pinned here, not in the callers, and
+each row kind has one builder, which `scoped_checks` calls too.
 
-Grid choices per check (the PDE-residual grid and time step are pinned by the
-acceptance contract; operator and transform grids are sized so stencil error
-sits well below the tolerances):
+Grids, as (x_min, x_max, points), and time steps (the PDE-residual ones are
+pinned by the acceptance contract; the others are sized so stencil error sits
+well below the tolerances):
 
-  * PDE residual: 1024 points on [-8, 8], dt = 1e-4.
-  * Operator checks: 8192 points on [-12, 12].
-  * Fourier cross-checks: 1024 points on [-14, 14].
-  * Propagation: 1024 points on [-12, 12], 4096 steps to t = 1.
+  * PDE residual: (-8, 8, 1024), dt = 1e-4; at refined resolution (1s):
+    (-12, 12, 4096), dt = 1e-5; for the convergence orders (11):
+    (-8, 8, 512) and (-8, 8, 1024) at dt = 1e-6, (-8, 8, 4096) at dt = 1e-2
+    and 5e-3.
+  * Operator checks: (-12, 12, 8192); the ladder commutator: (-9, 9, 1024).
+  * Textbook limit (4), and propagation, 4096 steps to t = 1: (-12, 12, 1024).
+  * Fourier cross-checks: (-14, 14, 1024).
+  * Comoving residual (10): (-10, 10, 2048), t +- 1e-5 (`comoving_frame`).
 
 Every check runs on a (T, N) block of samples per state, with the flowed
 parameters as (T, 1) columns; the PDE and comoving residuals of all sample
@@ -46,6 +51,8 @@ RESIDUAL_DT = 1e-4
 OPERATOR_GRID = (-12.0, 12.0, 8192)
 TRANSFORM_GRID = (-14.0, 14.0, 1024)
 PROPAGATION_GRID = (-12.0, 12.0, 1024)
+# Stated apart from its rows: the winner row of criterion 10 requires it too.
+_COMOVING_BOUND = 1e-6
 
 _RNG_SEED = 20260809
 
@@ -76,7 +83,15 @@ def _within(name, value, lo, hi):
                        lo <= value <= hi)
 
 
+def _name(kind, *tags):
+    """kind[tag, ...] over the tags that are not None; kind if none is."""
+    tags = [tag for tag in tags if tag is not None]
+    return f"{kind}[{', '.join(tags)}]" if tags else kind
+
+
 def _presets():
+    """{name: config} of the presets: the members that a criterion runs on
+    by default.  The scoped battery passes {None: config}."""
     return {name: preset_config(name) for name in PRESET_NAMES}
 
 
@@ -99,16 +114,18 @@ def _random_params(count):
 
 # -- criterion 1: the closed form satisfies the evolution equation ----------
 
-def _worst_residual(spec, grid, dt=RESIDUAL_DT):
-    return float(schrodinger_residual(spec, grid, EIGHT_TIMES, dt).max())
+def _pde_rows(kind, members, ns, grid, dt):
+    """Worst PDE residual over the eight times, one row per member and n."""
+    x = uniform_grid(*grid)
+    return [_below(_name(kind, name, f"n={n}"), schrodinger_residual(
+                StateSpec(cfg.params, n), x, EIGHT_TIMES, dt).max(), 1e-6)
+            for name, cfg in members.items() for n in ns]
 
 
-def family_exactness():
-    """PDE residual of the closed form, all presets, n in {0,1,2,5}."""
-    grid = uniform_grid(*RESIDUAL_GRID)
-    return [_below(f"pde_residual[{name}, n={n}]",
-                   _worst_residual(StateSpec(cfg.params, n), grid), 1e-6)
-            for name, cfg in _presets().items() for n in (0, 1, 2, 5)]
+def family_exactness(members=None, ns=(0, 1, 2, 5)):
+    """PDE residual of the closed form, each member, each n of ns."""
+    return _pde_rows("pde_residual", members or _presets(), ns,
+                     RESIDUAL_GRID, RESIDUAL_DT)
 
 
 def family_exactness_refined():
@@ -122,10 +139,8 @@ def family_exactness_refined():
     (4096 points, dt = 1e-5) drops every case below 1e-6, confirming the
     closed form itself is exact.
     """
-    grid = uniform_grid(-12.0, 12.0, 4096)
-    return [_below(f"pde_residual_refined[{name}, n=5]",
-                   _worst_residual(StateSpec(cfg.params, 5), grid, 1e-5), 1e-6)
-            for name, cfg in _presets().items()]
+    return _pde_rows("pde_residual_refined", _presets(), (5,),
+                     (-12.0, 12.0, 4096), 1e-5)
 
 
 # -- criterion 2: invariant spectrum -----------------------------------------
@@ -143,17 +158,18 @@ def _eigenvalue_gap(params, times):
     return worst
 
 
-def invariant_spectrum():
-    return [_below(f"invariant_eigenvalue[{name}]",
-                   _eigenvalue_gap(cfg.params, EIGHT_TIMES), 1e-7)
-            for name, cfg in _presets().items()]
+def invariant_spectrum(members=None, times=EIGHT_TIMES):
+    # The scoped battery's nameless member is tagged by its n instead.
+    return [_below(_name("invariant_eigenvalue", name or "n<=6"),
+                   _eigenvalue_gap(cfg.params, times), 1e-7)
+            for name, cfg in (members or _presets()).items()]
 
 
 # -- criterion 3: ladder algebra ---------------------------------------------
 
-def _commutator_residual(params, times):
+def _commutator_row(params_list, times, tag=None):
     """Worst relative residual of (a a' - a' a) psi = psi over three
-    Gaussians, a (3, N) block, at each of the times."""
+    Gaussians, a (3, N) block, at each of the times, over params_list."""
     x = uniform_grid(-9.0, 9.0, 1024)
     dx = float(x[1] - x[0])
     psi = np.stack([
@@ -161,18 +177,21 @@ def _commutator_residual(params, times):
         np.exp(-(x - 0.8) ** 2 / 3.0 + 0.4j * x),
         (1.0 + 0.2 * x) * np.exp(-(x + 1.0) ** 2 / 2.5 - 0.3j * x),
     ])
-    commuted = commutator(flow(params, np.asarray(times)[:, None, None]),
-                          x, psi, dx)
-    return float(np.max(l2_norm(interior(commuted - psi), dx)
-                        / l2_norm(interior(psi), dx)))
+    norm = l2_norm(interior(psi), dx)
+    states = [flow(p, np.asarray(times)[:, None, None]) for p in params_list]
+    worst = max(float(np.max(l2_norm(interior(commutator(st, x, psi, dx)
+                                              - psi), dx) / norm))
+                for st in states)
+    return _below(_name("ladder_commutator", tag), worst, 1e-7)
 
 
 def ladder_algebra():
     grid = uniform_grid(*OPERATOR_GRID)
     dx = float(grid[1] - grid[0])
     times = np.array(EIGHT_TIMES[::2])
+    presets = _presets()
     results = []
-    for name, cfg in _presets().items():
+    for name, cfg in presets.items():
         st = flow(cfg.params, times[:, None])
         states = [eval_psi_invariant_frame(StateSpec(cfg.params, n), grid, times)
                   for n in range(7)]
@@ -188,9 +207,8 @@ def ladder_algebra():
             up = max(up, float(np.max(gap / norms[n])))
         results.append(_below(f"ladder_lowering[{name}]", down, 1e-6))
         results.append(_below(f"ladder_raising[{name}]", up, 1e-6))
-    worst = max(_commutator_residual(cfg.params, (0.0, 1.0, 2.5))
-                for cfg in _presets().values())
-    results.append(_below("ladder_commutator[gaussian frames]", worst, 1e-7))
+    results.append(_commutator_row([cfg.params for cfg in presets.values()],
+                                   (0.0, 1.0, 2.5), "gaussian frames"))
     return results
 
 
@@ -292,14 +310,19 @@ def _worst_momentum_gap(numeric, params, times, denominator):
                for n in range(5))
 
 
+def _momentum_map_rows(members, times, denominator):
+    """One row per member, and the (P, 5, T, N) transforms it compares."""
+    numeric = _momentum_transforms([cfg.params for cfg in members.values()],
+                                   times)
+    return [_below(_name("momentum_map", name, "n<=4"),
+                   _worst_momentum_gap(rows, cfg.params, times, denominator),
+                   1e-8)
+            for (name, cfg), rows in zip(members.items(), numeric)], numeric
+
+
 def momentum_representation(denominator=BETA0_QUARTIC):
     presets = _presets()
-    numeric = _momentum_transforms([cfg.params for cfg in presets.values()],
-                                   EIGHT_TIMES)
-    results = [_below(f"momentum_map[{name}, n<=4]",
-                      _worst_momentum_gap(rows, cfg.params, EIGHT_TIMES,
-                                          denominator), 1e-8)
-               for (name, cfg), rows in zip(presets.items(), numeric)]
+    results, numeric = _momentum_map_rows(presets, EIGHT_TIMES, denominator)
     # The control's frame (example3, n = 0, t = 0) is a row of numeric.
     example3 = list(presets).index("example3")
     control = float(_momentum_gaps(numeric[example3, 0, :1],
@@ -341,8 +364,9 @@ def animation_reproduction():
 
 # -- criterion 8: classical layer --------------------------------------------
 
-def _classical_drift(params):
-    """(energy drift, Ehrenfest residual) of the n = 0 moments over one period."""
+def _classical_rows(name, params):
+    """Energy drift and Ehrenfest residual of the n = 0 moments over one
+    period."""
     h = 1e-5
     t = np.linspace(0.0, 2.0 * math.pi, 257)
     energy0 = classical_moments(params, 0, 0.0).energy
@@ -353,77 +377,69 @@ def _classical_drift(params):
     ehrenfest = max(
         np.max(np.abs((plus.mean_x - minus.mean_x) / (2 * h) - m.mean_p)),
         np.max(np.abs((plus.mean_p - minus.mean_p) / (2 * h) + m.mean_x)))
-    return drift, ehrenfest
+    return [_below(_name("energy_constant", name), drift, 1e-12),
+            _below(_name("ehrenfest", name), ehrenfest, 1e-8)]
 
 
 def classical_layer():
-    results = []
     cases = [(name, cfg.params) for name, cfg in _presets().items()]
     cases += [(f"random{i}", p) for i, p in enumerate(_random_params(3))]
-    for name, params in cases:
-        drift, ehrenfest = _classical_drift(params)
-        results.append(_below(f"energy_constant[{name}]", drift, 1e-12))
-        results.append(_below(f"ehrenfest[{name}]", ehrenfest, 1e-8))
-    return results
+    return [row for name, params in cases
+            for row in _classical_rows(name, params)]
 
 
 # -- criterion 9: independent propagation ------------------------------------
 
-def _split_step_gaps(specs):
-    """L2 gap between split-step and closed form at t = 1, one per spec.
-
-    All start states are propagated in one batched call.
-    """
-    grid = uniform_grid(*PROPAGATION_GRID)
-    starts = np.stack([eval_psi(spec, grid, 0.0) for spec in specs])
-    evolved = split_step_propagate(grid, starts, 1.0, steps=4096)
-    return [l2_norm(out - eval_psi(spec, grid, 1.0), float(grid[1] - grid[0]))
-            for spec, out in zip(specs, evolved)]
-
-
-def independent_propagation():
+def independent_propagation(members=None):
+    """L2 gap between split-step and closed form at t = 1, one row per
+    member; all start states are propagated in one batched call."""
     specs = {name: StateSpec(cfg.params, cfg.n)
-             for name, cfg in _presets().items()}
-    gaps = _split_step_gaps(specs.values())
-    return [_below(f"split_step_vs_closed_form[{name}]", gap, 1e-5)
-            for name, gap in zip(specs, gaps)]
+             for name, cfg in (members or _presets()).items()}
+    grid = uniform_grid(*PROPAGATION_GRID)
+    starts = np.stack([eval_psi(spec, grid, 0.0) for spec in specs.values()])
+    evolved = split_step_propagate(grid, starts, 1.0, steps=4096)
+    return [_below(_name("split_step_vs_closed_form", name),
+                   l2_norm(out - eval_psi(spec, grid, 1.0),
+                           float(grid[1] - grid[0])), 1e-5)
+            for (name, spec), out in zip(specs.items(), evolved)]
 
 
 # -- criterion 10: comoving-frame adjudication --------------------------------
 
-def _worst_comoving(spec, convention, times):
-    return float(comoving_residual(spec, times, convention).max())
+def _comoving_rows(members, convention, times):
+    """Worst comoving residual under convention, one row per member."""
+    return [_below(_name("comoving_residual", name, convention),
+                   comoving_residual(StateSpec(cfg.params, cfg.n), times,
+                                     convention).max(), _COMOVING_BOUND)
+            for name, cfg in members.items()]
 
 
-def _one_convention(worst_by_convention):
-    """Conventions whose worst residual passes, and the row requiring one."""
-    winners = [c for c, worst in worst_by_convention.items() if worst < 1e-6]
-    return winners, CheckResult(
+def _both_conventions(members, times):
+    """Each convention's rows, the conventions that pass on every member,
+    and the row that requires exactly one of them."""
+    rows = {c: _comoving_rows(members, c, times)
+            for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
+    winners = [c for c, found in rows.items()
+               if all(row.passed for row in found)]
+    return rows, winners, CheckResult(
         "comoving_exactly_one_convention", float(len(winners)),
         "exactly 1 passing convention", len(winners) == 1)
 
 
-def comoving_adjudication(tau_convention=None):
-    times = (0.8, 2.0, 4.0)
-    specs = {name: StateSpec(cfg.params, cfg.n)
-             for name, cfg in _presets().items()}
+def comoving_adjudication(tau_convention=None, members=None,
+                          times=(0.8, 2.0, 4.0)):
+    """Pinned to tau_convention: one row per member.  Otherwise each
+    convention's worst residual over the members, and the one that passes."""
+    members = members or _presets()
     if tau_convention is not None:
-        return [_below(f"comoving_residual[{name}, {tau_convention}]",
-                       _worst_comoving(spec, tau_convention, times), 1e-6)
-                for name, spec in specs.items()]
-    per_convention = {c: max(_worst_comoving(spec, c, times)
-                             for spec in specs.values())
-                      for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
-    results = [CheckResult(f"comoving_residual[{c}, all presets]", worst,
-                           "reported", True)
-               for c, worst in per_convention.items()]
-    winners, row = _one_convention(per_convention)
-    results.append(row)
-    if winners:
-        results.append(CheckResult(
-            f"comoving_winner[{winners[0]}]", per_convention[winners[0]],
-            "< 1e-06", per_convention[winners[0]] < 1e-6))
-    return results
+        return _comoving_rows(members, tau_convention, times)
+    rows, winners, exactly_one = _both_conventions(members, times)
+    worst = {c: max(row.value for row in found) for c, found in rows.items()}
+    return [*(CheckResult(f"comoving_residual[{c}, all presets]", value,
+                          "reported", True) for c, value in worst.items()),
+            exactly_one,
+            *(_below(f"comoving_winner[{c}]", worst[c], _COMOVING_BOUND)
+              for c in winners[:1])]
 
 
 # -- criterion 11: convergence orders ------------------------------------------
@@ -479,45 +495,27 @@ def run_acceptance(denominator=BETA0_QUARTIC, tau_convention=None):
 
 def _scoped_leading_rows(config, denominator):
     """The rows of scoped_checks before its split-step row."""
-    params, n = config.params, config.n
-    grid = uniform_grid(*RESIDUAL_GRID)
-    rows = [_below(f"pde_residual[n={nn}]",
-                   _worst_residual(StateSpec(params, nn), grid), 1e-6)
-            for nn in sorted({0, 1, 2, 5, n})]
+    member = {None: config}
     half = EIGHT_TIMES[::2]
-    return rows + [
-        _below("invariant_eigenvalue[n<=6]", _eigenvalue_gap(params, half), 1e-7),
-        _below("ladder_commutator", _commutator_residual(params, (0.0, 1.0)),
-               1e-7),
-        _below("momentum_map[n<=4]",
-               _worst_momentum_gap(_momentum_transforms([params], half)[0],
-                                   params, half, denominator), 1e-8),
-        _below("energy_constant", _classical_drift(params)[0], 1e-12),
-    ]
-
-
-def _scoped_split_step_rows(config):
-    """The split-step row of scoped_checks."""
-    (gap,) = _split_step_gaps([StateSpec(config.params, config.n)])
-    return [_below("split_step_vs_closed_form", gap, 1e-5)]
+    return [*family_exactness(member, sorted({0, 1, 2, 5, config.n})),
+            *invariant_spectrum(member, half),
+            _commutator_row([config.params], (0.0, 1.0)),
+            *_momentum_map_rows(member, half, denominator)[0],
+            _classical_rows(None, config.params)[0]]
 
 
 def _scoped_trailing_rows(config, tau_convention):
     """The rows of scoped_checks after its split-step row."""
-    params = config.params
-    spec = StateSpec(params, config.n)
+    member = {None: config}
     times = (0.8, 2.0)
     if tau_convention:
-        rows = [_below(f"comoving_residual[{tau_convention}]",
-                       _worst_comoving(spec, tau_convention, times), 1e-6)]
+        rows = comoving_adjudication(tau_convention, member, times)
     else:
-        worst = {c: _worst_comoving(spec, c, times)
-                 for c in (MINUS_TWO_GAMMA, MINUS_GAMMA)}
-        rows = [_below(f"comoving_residual[{MINUS_TWO_GAMMA}]",
-                       worst[MINUS_TWO_GAMMA], 1e-6),
-                _one_convention(worst)[1]]
+        by_convention, _, exactly_one = _both_conventions(member, times)
+        rows = [*by_convention[MINUS_TWO_GAMMA], exactly_one]
+    params = config.params
     op_grid = uniform_grid(*OPERATOR_GRID)
-    norm_sq = l2_norm(eval_psi(spec, op_grid, 1.1),
+    norm_sq = l2_norm(eval_psi(StateSpec(params, config.n), op_grid, 1.1),
                       float(op_grid[1] - op_grid[0])) ** 2
     expected = 1.0 / (params.mu0 * abs(params.beta0))
     rows.append(_below("normalization[1/(mu0 |beta0|)]",
@@ -528,17 +526,18 @@ def _scoped_trailing_rows(config, tau_convention):
 def scoped_checks(config, denominator=BETA0_QUARTIC, tau_convention=None):
     """Verification battery restricted to one configured family member.
 
-    The rows reuse the full battery's measurements on this one member, with
-    n in {0, 1, 2, 5, config.n} for the PDE residual, every second of the
-    eight sample times for the invariant and momentum-map checks, and the
-    first two times of the commutator and comoving checks; a normalization
-    row is added.  The rows go to the worker pool as three jobs, in print
-    order: the rows before the split-step row, the split-step row alone (the
+    The rows are the full battery's, built by the same criteria and row
+    builders on this one member, with n in {0, 1, 2, 5, config.n} for the PDE
+    residual, every second of the eight sample times for the invariant and
+    momentum-map checks, and the first two times of the commutator and
+    comoving checks; a normalization row is added.  The rows go to the
+    worker pool as three jobs, in print order: the rows before the
+    split-step row, `independent_propagation` on this member alone (the
     oracle, about 60% of the work), then the rows after it, which go to the
     first worker free.  On two cores the propagation runs alone.
     """
     jobs = (functools.partial(_scoped_leading_rows, config, denominator),
-            functools.partial(_scoped_split_step_rows, config),
+            functools.partial(independent_propagation, {None: config}),
             functools.partial(_scoped_trailing_rows, config, tau_convention))
     with ordered_map(lambda job: job(), jobs) as results:
         return [row for rows in results for row in rows]

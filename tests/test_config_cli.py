@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -507,7 +508,9 @@ class TestEvolveCommand:
         (out / "position_0002.csv").mkdir()
         path = write_config(tmp_path)
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
-        assert "write failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: [Errno {errno.EISDIR}] ")
+        assert err.count("\n") == 1 and err.endswith("position_0002.csv'\n")
         assert sorted(p.name for p in out.iterdir()) == ["position_0002.csv"]
 
     def test_reused_directory_drops_stale_frames(self, tmp_path):
@@ -576,7 +579,7 @@ class TestEvolveCommand:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
-        assert "write failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "I/O error: disk full\n"
         assert Path(calls[1]).name == "position_0002.csv"
         assert list(out.iterdir()) == []
 
@@ -770,8 +773,7 @@ def in_worker(fn):
 def measured_in_workers(monkeypatch):
     """Make every verify job fail when it runs in this process."""
     jobs = [fn for _, fn in ver.CRITERIA]
-    jobs += [ver._scoped_leading_rows, ver._scoped_split_step_rows,
-             ver._scoped_trailing_rows]
+    jobs += [ver._scoped_leading_rows, ver._scoped_trailing_rows]
     swap_functions(monkeypatch, ver, {fn: in_worker(fn) for fn in jobs})
 
 
@@ -798,13 +800,13 @@ class TestJobOrder:
         assert all(rows == [label] for label, rows in groups.items())
 
 
-SCOPED_JOBS = ("_scoped_leading_rows", "_scoped_split_step_rows",
+SCOPED_JOBS = ("_scoped_leading_rows", "independent_propagation",
                "_scoped_trailing_rows")
 
 
 class TestScopedJobs:
     """A scoped verify is three jobs: the rows before the split-step row,
-    that row alone, and the rows after it."""
+    criterion 9 on the one member alone, and the rows after it."""
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_jobs_go_out_and_come_back_in_print_order(self, monkeypatch,
@@ -834,8 +836,27 @@ class TestScopedJobs:
         assert_no_child_left()
 
     def test_split_step_job_is_one_row(self):
-        (row,) = ver._scoped_split_step_rows(preset_config("example3"))
+        (row,) = ver.independent_propagation({None: preset_config("example3")})
         assert row.name == "split_step_vs_closed_form" and row.passed
+
+    @pytest.fixture(scope="class")
+    def battery_rows(self):
+        return {row.name: row for row in [*ver.family_exactness(),
+                                          *ver.independent_propagation()]}
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_rows_equal_the_full_battery(self, battery_rows, preset):
+        # The same criteria on the same member: the same floats, bit for bit.
+        scoped = {row.name: row
+                  for row in ver.scoped_checks(preset_config(preset))}
+        pairs = [(f"pde_residual[n={n}]", f"pde_residual[{preset}, n={n}]")
+                 for n in (0, 1, 2, 5)]
+        pairs.append(("split_step_vs_closed_form",
+                      f"split_step_vs_closed_form[{preset}]"))
+        for mine, full in pairs:
+            mine, full = scoped[mine], battery_rows[full]
+            assert mine.value.hex() == full.value.hex()
+            assert (mine.bound, mine.passed) == (full.bound, full.passed)
 
     @pytest.mark.parametrize("tau_convention,comoving", [
         (None, ["comoving_residual[minus_two_gamma]",
@@ -1244,6 +1265,42 @@ class TestUnrepresentableData:
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    # The config's own parameters are valid; those that momentum_params
+    # derives from them at run time are not.
+    @pytest.mark.parametrize("cores", [1, pytest.param(2, marks=needs_fork)])
+    def test_invalid_derived_parameters_in_verify(self, tmp_path, capsys,
+                                                  monkeypatch, cores):
+        path = write_config(
+            tmp_path, grid={"x_min": -12.0, "x_max": 12.0, "points": 1024},
+            params={"mu0": 1.0, "alpha0": 1e150, "beta0": -2.911106085174323,
+                    "eps0": 4.10339784049971})
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: beta0 must be nonzero, with a finite nonzero "
+            "fourth power\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [1, pytest.param(2, marks=needs_fork)])
+    def test_invalid_derived_parameters_in_evolve(self, tmp_path, capsys,
+                                                  monkeypatch, cores):
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        path = write_config(tmp_path, params={"mu0": 1e308,
+                                              "beta0": 3.966407070053945},
+                            grid={"x_min": -12.0, "x_max": 12.0},
+                            time={"frames": 2},
+                            outputs=["momentum_density"])
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: initial data must be finite real numbers\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+        assert_no_child_left()
 
     @staticmethod
     def run_fresh(tmp_path, argv, path):

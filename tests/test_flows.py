@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dynosc import (BETA0_SQUARED, DomainError, MomentSet, OscillatorParams,
-                    ParamState, StateSpec, classical_moments, discriminant,
-                    eval_psi, flow, is_minimum_uncertainty_family,
-                    momentum_params, uniform_grid)
+from dynosc import (BETA0_QUARTIC, BETA0_SQUARED, DomainError, MomentSet,
+                    OscillatorParams, ParamState, StateSpec,
+                    classical_moments, discriminant, eval_psi, flow,
+                    is_minimum_uncertainty_family, momentum_params,
+                    uniform_grid)
 from dynosc import verification as ver
 
 finite_params = st.builds(
@@ -77,6 +78,51 @@ class TestConstruction:
 
     def test_negative_beta0_allowed(self):
         assert OscillatorParams(mu0=1.0, beta0=-0.7).beta0 == -0.7
+
+    @pytest.mark.parametrize("data", [
+        {"mu0": -1.0}, {"mu0": 1.0, "beta0": 0.0},
+        {"mu0": 1.0, "beta0": 1e100}, {"mu0": 1.0, "eps0": math.inf}])
+    def test_rejections_are_domain_errors(self, data):
+        # Derived parameters (momentum_params) are built outside the config
+        # reader, so the class that cli.main maps to exit 2 is raised here.
+        with pytest.raises(DomainError):
+            OscillatorParams(**data)
+
+
+# Zero signs, the smallest subnormal, a subnormal near the normal range,
+# square roots of the float64 range, the largest decade, 2^53 and pi.
+EXTREME_DATA = [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e-150, 1e150,
+                -1e150, 1e308, -1e308, 2.0 ** 53, math.pi, -math.pi]
+ORDINARY_DATA = [1.0, -0.7, 0.3, 2.5]
+
+
+def allowed(call, *args):
+    """call(*args), or None where it raises one of the two errors that
+    cli.main reports as a config error (exit 2)."""
+    try:
+        return call(*args)
+    except (DomainError, OverflowError):
+        return None
+
+
+def test_extreme_initial_data_raise_only_domain_or_overflow_errors():
+    rng = np.random.default_rng(20261020)
+    values = np.array(EXTREME_DATA + ORDINARY_DATA)
+    times = np.array([0.0, 0.7, math.pi / 2.0, 4.0])
+    built = 0
+    for _ in range(3000):
+        params = allowed(OscillatorParams, *map(float, rng.choice(values, 7)))
+        if params is None:
+            continue
+        built += 1
+        for denominator in (BETA0_QUARTIC, BETA0_SQUARED):
+            allowed(momentum_params, params, denominator)
+        allowed(flow, params, times)
+        allowed(flow, params, 0.7)
+        for n in (0, 5):
+            allowed(classical_moments, params, n, times)
+    # About a fifth of the draws pass the construction checks.
+    assert built > 500
 
 
 class TestDiscriminant:
