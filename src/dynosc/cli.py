@@ -6,15 +6,18 @@
     dynosc moments (--preset NAME | --config PATH) [--check]
 
 Exit codes: 0 all checks pass / files written, 1 check failure, 2 config
-error, 3 I/O error (stdout, files, or a fork that fails) or a worker process
-that ended unexpectedly.  Frame CSVs carry the header x,density,re_psi,im_psi
-(p,density,re_a,im_a for momentum frames), LF line endings, and floats as
-shortest round-trip decimals, so identical configs produce byte-identical
-output.  Each evolve run writes a manifest.json listing every written file
-with its sha256.  evolve reuses an output directory only if it is empty or
-holds a readable manifest.json (exit 3 otherwise), and once its own files
-are staged it removes the files that manifest lists under evolve's own file
-names.
+error (also data whose arithmetic leaves the float64 range: each command
+runs with NumPy's overflow, invalid and divide errors raised, so none ends
+as a warning with inf or nan in its output), 3 I/O error (stdout, files, or
+a fork that fails) or a worker process that ended unexpectedly.  Frame CSVs
+carry the header x,density,re_psi,im_psi (p,density,re_a,im_a for momentum
+frames), LF line endings, and floats as shortest round-trip decimals, so
+identical configs produce byte-identical output.  Each evolve run writes a
+manifest.json listing every written file with its sha256.  evolve reuses an
+output directory only if it is empty but for killed runs' staging
+directories, or holds a readable manifest.json (exit 3 otherwise), and once
+its own files are staged it removes the files that manifest lists under
+evolve's own file names.
 
 verify and evolve run on every usable core (`pool.ordered_map`), and a
 serial run is `taskset -c 0`.  verify's parent alone prints.  An evolve job
@@ -23,16 +26,16 @@ evaluates the block, formats each frame (`csvtext`, the grid column
 formatted once per worker), writes it under its final name into the run's
 own staging directory (`.evolve-*` inside the output directory) and returns
 its sha256 and the seconds it spent evaluating, formatting and writing
-(`--timings` prints their sums to stderr); the parent formats nothing
-unless the run is serial.  The parent stages moments.csv and manifest.json
-beside the frames; only then does it remove the earlier run's files and
-move the staged ones into place in one pass, the frames in order and
-manifest.json last.  So a failed run leaves the earlier one whole, two runs
-into one directory never share a file, and the bytes do not depend on the
-number of workers.  A worker that dies ends the run with exit 3.  A killed
-run leaves its staging directory behind; its workers exit once their job is
-done.  verify sends its criteria longest first, in the order of
-`verification.CRITERIA`.  A scoped verify sends three jobs in print
+(`--timings` prints their sums to stderr); the parent formats nothing unless
+the run is serial.  The parent stages moments.csv and manifest.json beside
+the frames; only then does it remove the earlier run's files and move the
+staged ones into place in one pass, the frames in order and manifest.json
+last.  So a failed run leaves the earlier one whole, two runs into one
+directory never share a file, and the bytes do not depend on the number of
+workers.  A worker that dies ends the run with exit 3.  A killed run leaves
+its staging directory behind, which blocks no later run; its workers exit
+once their job is done.  verify sends its criteria longest first, in the
+order of `verification.CRITERIA`.  A scoped verify sends three jobs in print
 order: the rows before the split-step row, criterion 9
 (`verification.independent_propagation`) on the one member alone, then the
 rows after it, so that on two cores the propagation has a core to itself.
@@ -40,11 +43,12 @@ The workers inherit one BLAS thread: the parent caps NumPy's OpenBLAS just
 before it forks, so no worker starts a helper thread to spin on the other
 worker's core.  The parent keeps that cap, since setting the count back
 would start OpenBLAS's helper threads again.  moments --check, which never
-forks, and a serial run keep OpenBLAS's own threads.  moments --check
-passes its frames to the DFT CHECK_FRAMES at a time; each call builds the
-quadrature kernel once, strip by strip, and never holds it whole.  moments
-writes its table with repr, which gives csvtext's bytes; only evolve's frames
-load csvtext, and only verify loads the battery (`verification`).
+forks, and a serial run keep OpenBLAS's own threads.  moments --check passes
+its frames to the DFT CHECK_FRAMES at a time; each call builds the
+quadrature kernel once, strip by strip, and never holds it whole, and
+`quadrature_moment_rows` gives the means and variances it compares.  moments
+writes its table with repr, which gives csvtext's bytes; only evolve's
+frames load csvtext, and only verify loads the battery (`verification`).
 """
 
 import argparse
@@ -83,7 +87,7 @@ FRAME_BLOCK = 8
 # Frames that `moments --check` transforms in one call.  Each call builds the
 # whole quadrature kernel, strip by strip (~35 ms at 1,024 points, seconds at
 # 8,192), and holds its frames and their transforms (4 MiB each at 256
-# frames of 1,024 points, 32 MiB at 8,192) beside one 65-row kernel strip, so
+# frames of 1,024 points, 32 MiB at 8,192) beside one 64-row kernel strip, so
 # the presets' 101 frames take one call and 1,001 frames four.
 CHECK_FRAMES = 256
 
@@ -150,7 +154,7 @@ def _moment_rows(config, check=False):
         header += ",err_mean_x,err_mean_p,err_var_x,err_var_p"
         spec = StateSpec(config.params, config.n)
         grid = uniform_grid(config.grid.x_min, config.grid.x_max, config.grid.points)
-        # Rows <x>, <p>, <x^2>, <p^2>; the last two become the variances.
+        # Rows <x>, <p>, var_x, var_p.
         quad = np.empty((4, t.size))
         for k in range(0, t.size, CHECK_FRAMES):
             chunk = slice(k, k + CHECK_FRAMES)
@@ -159,7 +163,6 @@ def _moment_rows(config, check=False):
             # Rebound, so the position rows go before the momentum moments.
             rows = dft_momentum_rows(grid, rows)
             quad[1::2, chunk] = quadrature_moment_rows(grid, rows)
-        quad[2:] -= quad[:2] * quad[:2]
         columns += [np.abs(q - c) / np.maximum(1.0, np.abs(c))
                     for q, c in zip(quad, checked)]
     # repr writes csvtext's bytes, and for 11 values a row it is no slower
@@ -211,12 +214,14 @@ def _previous_run(out_dir):
     """The files of an earlier evolve run in out_dir, its manifest last.
 
     Only names that the run's manifest.json lists and that evolve writes
-    count, so no other file is ever removed.  [] for an empty directory;
-    None for one that holds files but no readable manifest.
+    count, so no other file is ever removed.  [] for a directory that is
+    empty but for the staging directories of killed runs; None for one that
+    holds other files but no readable manifest.
     """
     manifest = out_dir / "manifest.json"
     if not manifest.exists():
-        return None if any(out_dir.iterdir()) else []
+        return None if any(not path.name.startswith(".evolve-")
+                           for path in out_dir.iterdir()) else []
     try:
         listed = json.loads(manifest.read_text(encoding="utf-8"))
         names = [entry["file"] for entry in listed["frames"]]
@@ -368,14 +373,18 @@ def main(argv=None):
     formatwarning = warnings.formatwarning
     warnings.formatwarning = _warning_line
     try:
-        config = _resolve_config(args)
-        code = args.func(args, config)
+        # NumPy overflow, and the inf and nan it makes, raise here and in the
+        # workers, which fork with this state, rather than warn and go on.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            config = _resolve_config(args)
+            code = args.func(args, config)
         # A full or closed stdout fails here at the latest, not at exit.
         sys.stdout.flush()
         return code
     # Domain and overflow errors: valid-looking data float64 cannot represent.
-    except (ConfigError, DomainError, OverflowError) as exc:
-        reason = "float64 overflow" if isinstance(exc, OverflowError) else exc
+    except (ConfigError, DomainError, OverflowError,
+            FloatingPointError) as exc:
+        reason = exc if isinstance(exc, ValueError) else "float64 overflow"
         print(f"config error: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     except WorkerDied:

@@ -114,15 +114,9 @@ class MomentSet:
                               f"below floor {floor}")
 
 
-def _times(t):
-    """t as a float64 array, or as a NumPy scalar when t is a scalar: the
-    same ufunc loops, without the cost of 0-d array arithmetic."""
-    return np.asarray(t, dtype=float)[()]
-
-
 def discriminant(params, t):
     """D(t) = beta0^4 sin^2 t + (2 alpha0 sin t + cos t)^2 at a scalar or array t."""
-    t = _times(t)
+    t = np.asarray(t, dtype=float)
     s, c = np.sin(t), np.cos(t)
     base = 2.0 * params.alpha0 * s + c
     d = params.beta0 ** 4 * s * s + base * base
@@ -138,7 +132,7 @@ def flow(params, t):
     """
     a0, b0 = params.alpha0, params.beta0
     d0, e0 = params.delta0, params.eps0
-    t = _times(t)
+    t = np.asarray(t, dtype=float)
     s, c = np.sin(t), np.cos(t)
     s2, c2 = np.sin(2.0 * t), np.cos(2.0 * t)
     base = 2.0 * a0 * s + c
@@ -208,7 +202,7 @@ def classical_moments(params, n, t):
     """
     n = check_order(n)
     a0, b0, d0, e0 = params.alpha0, params.beta0, params.delta0, params.eps0
-    t = _times(t)
+    t = np.asarray(t, dtype=float)
     s, c = np.sin(t), np.cos(t)
     drift = 2.0 * a0 * e0 - b0 * d0
     mean_x = -(drift * s + e0 * c) / b0

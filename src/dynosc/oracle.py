@@ -21,16 +21,17 @@ The row oracles (`dft_momentum_rows`, `quadrature_moment_rows` and
 `split_step_propagate`) take a (T, N) block of amplitude rows on one grid, or
 one (N,) row, and check both before any arithmetic: the grid by `check_grid`
 (1-D, uniform, increasing, 16 points or more), the rows for shape and finite
-values.  The transform builds its e^{-ipx} kernel one strip of KERNEL_STRIP
-rows at a time and applies each strip to every row of the block, weighting the
-row into one reused (N,) scratch just before its product.  So a call holds its
-result, one strip (1 MiB at 1,024 points) and one row beside its input, never
-a weighted copy of the block, but builds the whole kernel again: callers pass
-all of their rows in one call.  Every row goes through its own matrix-vector
-products, so a block gives the same bits as one call per row.  Callers
-evaluate long runs of times with `psi_rows`, in blocks of at most
-BLOCK_SAMPLES samples.  `split_step_propagate` maps its rows to an array of
-the same shape.
+values.  The transform builds its e^{-ipx} kernel one strip of at most
+KERNEL_STRIP rows at a time, in near-equal strips, and applies each strip to
+every row of the block, weighting the row into one reused (N,) scratch just
+before its product.  So a call holds its result, one strip (1 MiB at 1,024
+points) and one row beside its input, never a weighted copy of the block, but
+builds the whole kernel again: callers pass all of their rows in one call.
+Every row goes through its own matrix-vector products, so a block gives the
+same bits as one call per row.  Callers evaluate long runs of times with
+`psi_rows`, in blocks of at most BLOCK_SAMPLES samples.
+`quadrature_moment_rows` returns the mean and the variance of each row, and
+`split_step_propagate` maps its rows to an array of the same shape.
 """
 
 import math
@@ -112,12 +113,12 @@ def psi_rows(spec, grid, times):
 
 
 def _strips(n):
-    """Slices of KERNEL_STRIP kernel rows covering n rows; a 1-row remainder
-    joins the strip before it, since a 1-row product sums in another order."""
-    starts = list(range(0, n, KERNEL_STRIP))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    """Slices of ceil(n / KERNEL_STRIP) near-equal strips of kernel rows
+    covering n rows: on a grid of 16 points or more each strip has at least
+    two rows, since a 1-row product sums in another order."""
+    count = -(-n // KERNEL_STRIP)
+    bounds = [k * n // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_rows(grid, rows):
@@ -151,7 +152,7 @@ def _quadrature_transform(grid, rows):
     out = np.empty(rows.shape, dtype=complex)
     pairs = list(zip(out.reshape(-1, grid.size), rows.reshape(-1, grid.size)))
     weighted = np.empty(grid.size, dtype=complex)
-    buffer = np.empty((KERNEL_STRIP + 1, grid.size), dtype=complex)
+    buffer = np.empty((KERNEL_STRIP, grid.size), dtype=complex)
     for strip in _strips(grid.size):
         kernel = buffer[:strip.stop - strip.start]
         np.multiply.outer(grid[strip], grid, out=kernel)
@@ -274,14 +275,15 @@ def comoving_residual(spec, t, tau_convention):
 
 
 def quadrature_moment_rows(grid, rows):
-    """Trapezoid <x> and <x^2> (or <p>, <p^2>) of the density of each row of
-    a (T, N) amplitude block on grid, two arrays of T moments; two scalars
-    for one (N,) row."""
+    """Trapezoid mean <x> and variance <x^2> - <x>^2 (or those of p) of the
+    density of each row of a (T, N) amplitude block on grid, two arrays of T
+    values; two scalars for one (N,) row."""
     rows = _check_rows(grid, rows)
     dx = float(grid[1] - grid[0])
     density = np.abs(rows) ** 2
     total = np.trapezoid(density, dx=dx, axis=-1)
     if not total.all():
         raise DomainError("the state vanishes on the grid")
-    return tuple(np.trapezoid(grid ** power * density, dx=dx, axis=-1) / total
-                 for power in (1, 2))
+    mean, second = (np.trapezoid(grid ** power * density, dx=dx, axis=-1)
+                    / total for power in (1, 2))
+    return mean, second - mean * mean

@@ -75,7 +75,8 @@ def _below(name, value, tol):
 
 
 def _above(name, value, tol):
-    return CheckResult(name, float(value), f"> {tol:g}", value > tol)
+    value = float(value)
+    return CheckResult(name, value, f"> {tol:g}", value > tol)
 
 
 def _within(name, value, lo, hi):
@@ -87,6 +88,12 @@ def _name(kind, *tags):
     """kind[tag, ...] over the tags that are not None; kind if none is."""
     tags = [tag for tag in tags if tag is not None]
     return f"{kind}[{', '.join(tags)}]" if tags else kind
+
+
+def _grid(spec):
+    """The uniform grid of spec, (x_min, x_max, points), and its spacing."""
+    grid = uniform_grid(*spec)
+    return grid, float(grid[1] - grid[0])
 
 
 def _presets():
@@ -110,6 +117,12 @@ def _random_params(count):
             kappa0=rng.uniform(-math.pi, math.pi),
         ))
     return out
+
+
+def _cases(count):
+    """(name, params) of each preset, then of `count` seeded random members."""
+    return [*((name, cfg.params) for name, cfg in _presets().items()),
+            *((f"random{i}", p) for i, p in enumerate(_random_params(count)))]
 
 
 # -- criterion 1: the closed form satisfies the evolution equation ----------
@@ -147,8 +160,7 @@ def family_exactness_refined():
 
 def _eigenvalue_gap(params, times):
     """Worst |invariant eigenvalue estimate - (n + 1/2)| over n <= 6."""
-    grid = uniform_grid(*OPERATOR_GRID)
-    dx = float(grid[1] - grid[0])
+    grid, dx = _grid(OPERATOR_GRID)
     st = flow(params, np.asarray(times)[:, None])
     worst = 0.0
     for n in range(7):
@@ -170,8 +182,7 @@ def invariant_spectrum(members=None, times=EIGHT_TIMES):
 def _commutator_row(params_list, times, tag=None):
     """Worst relative residual of (a a' - a' a) psi = psi over three
     Gaussians, a (3, N) block, at each of the times, over params_list."""
-    x = uniform_grid(-9.0, 9.0, 1024)
-    dx = float(x[1] - x[0])
+    x, dx = _grid((-9.0, 9.0, 1024))
     psi = np.stack([
         np.exp(-0.5 * x * x),
         np.exp(-(x - 0.8) ** 2 / 3.0 + 0.4j * x),
@@ -186,8 +197,7 @@ def _commutator_row(params_list, times, tag=None):
 
 
 def ladder_algebra():
-    grid = uniform_grid(*OPERATOR_GRID)
-    dx = float(grid[1] - grid[0])
+    grid, dx = _grid(OPERATOR_GRID)
     times = np.array(EIGHT_TIMES[::2])
     presets = _presets()
     results = []
@@ -198,13 +208,15 @@ def ladder_algebra():
         norms = [l2_norm(interior(s), dx) for s in states]
         down = up = 0.0
         for n in range(1, 7):
-            got = ladder(ANNIHILATION, st, grid, states[n], dx)
-            gap = l2_norm(interior(got - math.sqrt(n) * states[n - 1]), dx)
-            down = max(down, float(np.max(gap / norms[n])))
-        for n in range(0, 6):
-            got = ladder(CREATION, st, grid, states[n], dx)
-            gap = l2_norm(interior(got - math.sqrt(n + 1) * states[n + 1]), dx)
-            up = max(up, float(np.max(gap / norms[n])))
+            # a psi_n = sqrt(n) psi_{n-1} and a' psi_{n-1} = sqrt(n) psi_n.
+            lowered = (ladder(ANNIHILATION, st, grid, states[n], dx)
+                       - math.sqrt(n) * states[n - 1])
+            raised = (ladder(CREATION, st, grid, states[n - 1], dx)
+                      - math.sqrt(n) * states[n])
+            down = max(down, float(np.max(
+                l2_norm(interior(lowered), dx) / norms[n])))
+            up = max(up, float(np.max(
+                l2_norm(interior(raised), dx) / norms[n - 1])))
         results.append(_below(f"ladder_lowering[{name}]", down, 1e-6))
         results.append(_below(f"ladder_raising[{name}]", up, 1e-6))
     results.append(_commutator_row([cfg.params for cfg in presets.values()],
@@ -234,14 +246,9 @@ def textbook_limit():
     # The frames n <= 4 at t = 0.9 and their momentum rows, one transform.
     pos = np.stack([eval_psi(StateSpec(cfg.params, n), x, 0.9)
                     for n in range(5)])
-    worst_quad = 0.0
-    for rows in (pos, dft_momentum_rows(x, pos)):
-        first, second = quadrature_moment_rows(x, rows)
-        # float_power calls libm pow like the scalar `**`; x * x can differ
-        # by 1 ulp.
-        var = second - np.float_power(first, 2.0)
-        worst_quad = max(worst_quad,
-                         float(np.max(np.abs(var - (np.arange(5) + 0.5)))))
+    worst_quad = max(np.max(np.abs(quadrature_moment_rows(x, rows)[1]
+                                   - (np.arange(5) + 0.5)))
+                     for rows in (pos, dft_momentum_rows(x, pos)))
     results.append(_below("textbook_variances_quadrature", worst_quad, 1e-8))
     return results
 
@@ -265,9 +272,7 @@ def _product_times(params):
 
 def uncertainty_structure():
     results = []
-    cases = [(name, cfg.params) for name, cfg in _presets().items()]
-    cases += [(f"random{i}", p) for i, p in enumerate(_random_params(6))]
-    for name, params in cases:
+    for name, params in _cases(6):
         ts = _product_times(params)
         worst = max(abs(np.min(classical_moments(params, n, ts).product)
                         - (n + 0.5) ** 2) for n in range(5))
@@ -294,20 +299,15 @@ def _momentum_transforms(params_list, times):
         len(params_list), 5, len(times), grid.size)
 
 
-def _momentum_gaps(numeric, params, n, times, denominator):
-    """L2 gap between the transforms `numeric` of psi_n and the closed-form
-    momentum state, at each of the times, on the transform grid."""
-    grid = uniform_grid(*TRANSFORM_GRID)
-    mapped = StateSpec(momentum_params(params, denominator), n)
-    return l2_norm(numeric - psi_rows(mapped, grid, times),
-                   float(grid[1] - grid[0]))
-
-
-def _worst_momentum_gap(numeric, params, times, denominator):
-    """Worst gap over n <= 4, given the (5, T, N) transforms of params."""
-    return max(float(_momentum_gaps(numeric[n], params, n, times,
-                                    denominator).max())
-               for n in range(5))
+def _momentum_gaps(numeric, params, times, denominator):
+    """L2 gaps between the (5, T, N) transforms `numeric` of psi_n, n <= 4,
+    of params and the closed-form momentum states on the transform grid: a
+    (5, T) block, one per order and time."""
+    grid, dx = _grid(TRANSFORM_GRID)
+    mapped = momentum_params(params, denominator)
+    closed = np.stack([psi_rows(StateSpec(mapped, n), grid, times)
+                       for n in range(5)])
+    return l2_norm(numeric - closed, dx)
 
 
 def _momentum_map_rows(members, times, denominator):
@@ -315,7 +315,7 @@ def _momentum_map_rows(members, times, denominator):
     numeric = _momentum_transforms([cfg.params for cfg in members.values()],
                                    times)
     return [_below(_name("momentum_map", name, "n<=4"),
-                   _worst_momentum_gap(rows, cfg.params, times, denominator),
+                   _momentum_gaps(rows, cfg.params, times, denominator).max(),
                    1e-8)
             for (name, cfg), rows in zip(members.items(), numeric)], numeric
 
@@ -325,9 +325,9 @@ def momentum_representation(denominator=BETA0_QUARTIC):
     results, numeric = _momentum_map_rows(presets, EIGHT_TIMES, denominator)
     # The control's frame (example3, n = 0, t = 0) is a row of numeric.
     example3 = list(presets).index("example3")
-    control = float(_momentum_gaps(numeric[example3, 0, :1],
-                                   presets["example3"].params, 0,
-                                   EIGHT_TIMES[:1], BETA0_SQUARED)[0])
+    control = _momentum_gaps(numeric[example3, :, :1],
+                             presets["example3"].params, EIGHT_TIMES[:1],
+                             BETA0_SQUARED)[0, 0]
     results.append(_above("momentum_map_negative_control[example3, beta0sq]",
                           control, 1e-2))
     return results
@@ -344,8 +344,7 @@ def animation_reproduction():
     worst_width = np.max(np.abs(
         np.float_power(flow(ex1.params, dense).beta, 2.0)
         - 72.0 / (97.0 + 65.0 * np.cos(2.0 * dense))))
-    grid = uniform_grid(ex1.grid.x_min, ex1.grid.x_max, ex1.grid.points)
-    dx = float(grid[1] - grid[0])
+    grid, dx = _grid((ex1.grid.x_min, ex1.grid.x_max, ex1.grid.points))
     times = np.array((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi))
     block = eval_psi(StateSpec(ex1.params, 0), grid, times)
     peaks = grid[np.argmax(np.abs(block) ** 2, axis=1)]
@@ -382,9 +381,7 @@ def _classical_rows(name, params):
 
 
 def classical_layer():
-    cases = [(name, cfg.params) for name, cfg in _presets().items()]
-    cases += [(f"random{i}", p) for i, p in enumerate(_random_params(3))]
-    return [row for name, params in cases
+    return [row for name, params in _cases(3)
             for row in _classical_rows(name, params)]
 
 
@@ -395,12 +392,11 @@ def independent_propagation(members=None):
     member; all start states are propagated in one batched call."""
     specs = {name: StateSpec(cfg.params, cfg.n)
              for name, cfg in (members or _presets()).items()}
-    grid = uniform_grid(*PROPAGATION_GRID)
+    grid, dx = _grid(PROPAGATION_GRID)
     starts = np.stack([eval_psi(spec, grid, 0.0) for spec in specs.values()])
     evolved = split_step_propagate(grid, starts, 1.0, steps=4096)
     return [_below(_name("split_step_vs_closed_form", name),
-                   l2_norm(out - eval_psi(spec, grid, 1.0),
-                           float(grid[1] - grid[0])), 1e-5)
+                   l2_norm(out - eval_psi(spec, grid, 1.0), dx), 1e-5)
             for (name, spec), out in zip(specs.items(), evolved)]
 
 
@@ -514,9 +510,9 @@ def _scoped_trailing_rows(config, tau_convention):
         by_convention, _, exactly_one = _both_conventions(member, times)
         rows = [*by_convention[MINUS_TWO_GAMMA], exactly_one]
     params = config.params
-    op_grid = uniform_grid(*OPERATOR_GRID)
+    op_grid, dx = _grid(OPERATOR_GRID)
     norm_sq = l2_norm(eval_psi(StateSpec(params, config.n), op_grid, 1.1),
-                      float(op_grid[1] - op_grid[0])) ** 2
+                      dx) ** 2
     expected = 1.0 / (params.mu0 * abs(params.beta0))
     rows.append(_below("normalization[1/(mu0 |beta0|)]",
                        abs(norm_sq - expected), 1e-10))

@@ -92,10 +92,10 @@ def streamed(grid, rows):
 
 
 class TestStripKernel:
-    """The transform builds its kernel in strips of KERNEL_STRIP rows; every
-    row it returns has the bits of the product with the kernel built whole.
-    At 65 and 1,025 points a plain 64-row split would leave a 1-row strip,
-    whose product sums in another order."""
+    """The transform builds its kernel in near-equal strips of at most
+    KERNEL_STRIP rows; every row it returns has the bits of the product with
+    the kernel built whole.  At 65 and 1,025 points a plain 64-row split
+    would leave a 1-row strip, whose product sums in another order."""
 
     @pytest.mark.parametrize("phase", [-1j])
     @pytest.mark.parametrize("grid", [
@@ -124,13 +124,16 @@ class TestStripKernel:
                               bits(want[1]))
 
     def test_strips_tile_the_rows_without_a_1_row_strip(self):
-        for n in [*range(1, 300), 1025, 4097, 8192]:
+        # Every grid size up to the config cap: near-equal strips of 2 to
+        # KERNEL_STRIP rows, one 1-row strip only for a 1-row kernel.
+        for n in range(1, 8193):
             strips = oracle._strips(n)
             assert strips[0].start == 0 and strips[-1].stop == n
             assert ([s.start for s in strips[1:]]
                     == [s.stop for s in strips[:-1]])
             sizes = [s.stop - s.start for s in strips]
-            assert max(sizes) <= oracle.KERNEL_STRIP + 1
+            assert max(sizes) <= oracle.KERNEL_STRIP
+            assert max(sizes) - min(sizes) <= 1
             assert n == 1 or min(sizes) >= 2
 
     def test_memory_stays_far_below_the_full_kernel(self):
@@ -156,7 +159,7 @@ class TestStripKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        strip = (oracle.KERNEL_STRIP + 1) * grid.size * 16
+        strip = oracle.KERNEL_STRIP * grid.size * 16
         assert peak <= out.nbytes + strip + out.nbytes // 4
 
 
@@ -169,12 +172,14 @@ class TestRowTransforms:
             spec = StateSpec(cfg.params, cfg.n)
             block = np.stack([eval_psi(spec, grid, t) for t in times])
             rows = oracle.dft_momentum_rows(grid, block)
-            first, second = oracle.quadrature_moment_rows(grid, rows)
+            mean, var = oracle.quadrature_moment_rows(grid, rows)
             for k, amplitudes in enumerate(block):
                 want = frame_transform(grid, amplitudes, kernel)
                 assert np.array_equal(bits(rows[k]), bits(want))
-                assert first[k] == frame_moment(grid, want, 1)
-                assert second[k] == frame_moment(grid, want, 2)
+                first = frame_moment(grid, want, 1)
+                assert mean[k] == first
+                assert np.array_equal(bits(var[k]), bits(
+                    frame_moment(grid, want, 2) - first * first))
 
 
 def per_frame_moment_errors(config):
@@ -264,8 +269,8 @@ class TestMomentumGapBlocks:
         grid = uniform_grid(*ver.TRANSFORM_GRID)
         kernel = full_kernel(-1j, grid)
         dx = float(grid[1] - grid[0])
-        numeric = ver._momentum_transforms(
-            [cfg.params for cfg in presets.values()], ver.EIGHT_TIMES)
+        rows, numeric = ver._momentum_map_rows(presets, ver.EIGHT_TIMES,
+                                               denominator)
         for k, cfg in enumerate(presets.values()):
             gaps = []
             for n in range(5):
@@ -275,10 +280,11 @@ class TestMomentumGapBlocks:
                     closed = eval_psi(mapped, grid, t)
                     gaps.append(l2_norm(frame_transform(grid, pos, kernel)
                                         - closed, dx))
-            got = ver._worst_momentum_gap(numeric[k], cfg.params,
-                                          ver.EIGHT_TIMES, denominator)
-            assert type(got) is float
-            assert got == max(gaps)
+            got = ver._momentum_gaps(numeric[k], cfg.params,
+                                     ver.EIGHT_TIMES, denominator)
+            assert np.array_equal(bits(got), bits(np.reshape(gaps, (5, 8))))
+            assert type(rows[k].value) is float
+            assert rows[k].value == max(gaps)
 
     def test_negative_control_equals_its_frame(self):
         grid = uniform_grid(*ver.TRANSFORM_GRID)
@@ -292,6 +298,7 @@ class TestMomentumGapBlocks:
         assert control.name == ("momentum_map_negative_control"
                                 "[example3, beta0sq]")
         assert control.value == want
+        assert type(control.value) is float and control.passed is True
 
     def test_gap_blocks_stay_under_the_cap(self, monkeypatch):
         shapes = []
@@ -306,7 +313,7 @@ class TestMomentumGapBlocks:
         params = preset_config("example1").params
         times = np.linspace(0.0, 1.0, 40)
         numeric = ver._momentum_transforms([params], times)
-        ver._worst_momentum_gap(numeric[0], params, times, BETA0_QUARTIC)
+        ver._momentum_gaps(numeric[0], params, times, BETA0_QUARTIC)
         cap = oracle.BLOCK_SAMPLES // ver.TRANSFORM_GRID[2]
         assert sorted({shape[0] for shape in shapes}) == [40 % cap, cap]
         assert sum(shape[0] for shape in shapes) == 2 * 5 * 40

@@ -14,7 +14,8 @@ from types import FunctionType, SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from dynosc import (ConfigError, DomainError, OscillatorParams,
                     PrecisionWarning, StateSpec, eval_momentum, eval_psi,
@@ -529,6 +530,32 @@ class TestEvolveCommand:
         assert [e["file"] for e in manifest["frames"]] == [
             "position_0001.csv", "position_0002.csv"]
         assert (out / "notes.txt").read_text() == "kept"
+
+    def test_killed_runs_stage_does_not_block_the_directory(self, tmp_path):
+        # A killed run leaves its staging directory and no manifest.json;
+        # a later run publishes beside it and leaves it as it is.
+        out = tmp_path / "out"
+        (out / ".evolve-dead").mkdir(parents=True)
+        (out / ".evolve-dead" / "position_0001.csv").write_text("partial")
+        path = write_config(tmp_path)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [".evolve-dead", "manifest.json",
+             *(entry["file"] for entry in manifest["frames"])])
+        assert [p.name for p in (out / ".evolve-dead").iterdir()] == [
+            "position_0001.csv"]
+
+    def test_stage_beside_a_foreign_file_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / ".evolve-dead").mkdir(parents=True)
+        (out / "notes.txt").write_text("mine")
+        path = write_config(tmp_path)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert "no readable manifest.json" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [".evolve-dead",
+                                                         "notes.txt"]
+        assert (out / "notes.txt").read_text() == "mine"
 
     @pytest.mark.parametrize("manifest", [None, "not json", "[]",
                                           '{"frames": [{"name": 1}]}'])
@@ -1241,6 +1268,17 @@ class TestFullBattery:
         assert lines == pinned
 
 
+def overflow_repro(mu0, points):
+    """A ground state with a tiny mu0, which once ended with NumPy warnings
+    and inf or nan in the output instead of a config error."""
+    raw = valid_config()
+    raw["params"]["mu0"] = mu0
+    raw["grid"] = {"x_min": -12.0, "x_max": 12.0, "points": points}
+    raw["time"]["frames"] = 2
+    raw["outputs"] = ["position_density", "momentum_density"]
+    return raw
+
+
 class TestUnrepresentableData:
     # Valid-looking data whose closed forms leave the float64 range: the
     # variances cancel to zero, a square overflows, the grid spacing cannot
@@ -1302,6 +1340,40 @@ class TestUnrepresentableData:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
         assert_no_child_left()
 
+    # A tiny mu0 makes the density 1/mu0 overflow (5e-324), or the battery's
+    # checks of the member (1e-308): float64 overflow, with no NumPy warning
+    # and no inf or nan in any output.
+    @pytest.mark.parametrize("cores", [1, pytest.param(2, marks=needs_fork)])
+    @pytest.mark.parametrize("argv,mu0,points", [
+        (["moments", "--check"], 5e-324, 64),
+        (["evolve", "--out", "out"], 5e-324, 64),
+        (["verify"], 5e-324, 64),
+        (["verify"], 1e-308, 256),
+    ], ids=["moments-check", "evolve", "verify", "verify-1e-308"])
+    def test_float64_overflow_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch, cores, argv, mu0,
+                                              points):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(overflow_repro(mu0, points)))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: float64 overflow\n"
+        assert not (tmp_path / "out").exists() or not any(
+            (tmp_path / "out").iterdir())
+        assert_no_child_left()
+
+    def test_tiny_mu0_moments_without_check(self, tmp_path, capsys):
+        # The closed-form moments do not depend on mu0.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(overflow_repro(5e-324, 64)))
+        assert main(["moments", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and "inf" not in captured.out
+        assert captured.err == ""
+
     @staticmethod
     def run_fresh(tmp_path, argv, path):
         """The CLI in a fresh process, so that a NumPy warning would show on
@@ -1330,6 +1402,103 @@ class TestUnrepresentableData:
         run = self.run_fresh(tmp_path, ["evolve", "--out", "out"], path)
         assert (run.returncode, run.stderr) == (0, "")
         assert run.stdout.startswith("wrote 3 frame file(s)")
+
+
+# The CLI boundary: field values at the edges of float64 (signed zeros and
+# subnormals, the smallest normal, huge and tiny powers of ten, the largest
+# finite values, 2^53 and pi), mixed with ordinary values: one field in four
+# is an edge value, so that most configs pass validation.
+EDGE_FIELDS = [0.0, -0.0, 5e-324, -5e-324, 1e-308, 1e150, -1e150, 1e-150,
+               -1e-150, 1e308, -1e308, 2.0 ** 53, math.pi, -math.pi]
+FUZZ_FIELDS = st.integers(0, 3).flatmap(
+    lambda k: st.floats(-4.0, 4.0) if k else st.sampled_from(EDGE_FIELDS))
+FUZZ_CONFIGS = st.fixed_dictionaries({
+    "schema_version": st.just(1),
+    "params": st.fixed_dictionaries({
+        # A negative mu0 is refused before any arithmetic.
+        "mu0": FUZZ_FIELDS.map(abs),
+        **{key: FUZZ_FIELDS for key in ("alpha0", "beta0", "gamma0",
+                                        "delta0", "eps0", "kappa0")}}),
+    "n": st.integers(0, 6),
+    "grid": st.builds(
+        lambda ends, points: {"x_min": ends[0], "x_max": ends[1],
+                              "points": points},
+        st.just((-1e200, 1e200)) | st.just((-12.0, 12.0))
+        | st.tuples(FUZZ_FIELDS | st.floats(-20.0, 20.0),
+                    FUZZ_FIELDS | st.floats(-20.0, 20.0)).map(sorted),
+        st.integers(MIN_GRID_POINTS, 256)),
+    "time": st.builds(
+        lambda ends, frames: {"t_start": ends[0], "t_end": ends[1],
+                              "frames": frames},
+        st.tuples(FUZZ_FIELDS, FUZZ_FIELDS).map(sorted), st.integers(1, 3)),
+    "outputs": st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1,
+                        max_size=4, unique=True),
+})
+
+
+def in_process(argv):
+    """main(argv) in this process on one core: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with (pytest.MonkeyPatch.context() as patch,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        patch.setattr(pool, "_usable_cores", lambda: 1)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_process(argv):
+    """The CLI in a fresh process on every usable core."""
+    run = run_cli(argv)
+    return run.returncode, run.stdout, run.stderr
+
+
+def assert_whole_run_or_nothing(out):
+    """out holds a whole evolve run, every listed file with its hash, no
+    nan or inf, and nothing else; or it does not exist or is empty."""
+    if not out.exists() or not any(out.iterdir()):
+        return
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = [*manifest["frames"], *filter(None, [manifest.get(
+        "moments_file")])]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [entry["file"] for entry in listed] + ["manifest.json"])
+    for entry in listed:
+        data = (out / entry["file"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+        assert b"nan" not in data and b"inf" not in data
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=FUZZ_CONFIGS, fresh=st.integers(0, 9).map(lambda k: k == 9))
+@example(raw=overflow_repro(5e-324, 64), fresh=True)
+@example(raw=overflow_repro(1e-308, 256), fresh=True)
+def test_cli_boundary(raw, fresh):
+    """Every config ends with a documented exit code and at most one line
+    that is not a warning, with no traceback or NumPy warning; an exit 0
+    writes no nan or inf, and evolve leaves a whole run or nothing.  Each
+    goes through the three commands in this process on one core; one in
+    ten, and the two overflow repros, also in fresh pooled processes."""
+    runners = [in_process, fresh_process] if fresh else [in_process]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        for k, run in enumerate(runners):
+            out = Path(tmp) / f"out{k}"
+            for argv in (["verify"], ["evolve", "--out", str(out)],
+                         ["moments", "--check"]):
+                code, stdout, stderr = run([*argv, "--config", str(path)])
+                assert code in ({0, 1, 2, 3} if argv[0] == "verify"
+                                else {0, 2, 3}), (argv, stderr)
+                assert "Traceback" not in stderr
+                assert "encountered" not in stderr
+                others = [line for line in stderr.splitlines()
+                          if not line.startswith("warning:")]
+                assert len(others) <= 1, (argv, stderr)
+                if code == 0 and argv[0] == "moments":
+                    assert "nan" not in stdout and "inf" not in stdout
+            assert_whole_run_or_nothing(out)
 
 
 class TestGoldenFrames:

@@ -26,12 +26,6 @@ def norm(grid, amplitudes):
     return l2_norm(amplitudes, float(grid[1] - grid[0]))
 
 
-def moments(grid, amplitudes):
-    """Quadrature mean and variance of |amplitudes|^2 on grid."""
-    first, second = quadrature_moment_rows(grid, amplitudes)
-    return first, second - first ** 2
-
-
 class TestEvalPsi:
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_schrodinger_stationary_states(self, n):
@@ -152,8 +146,8 @@ class TestMomentAgreement:
         mom = dft_momentum_rows(grid, pos)
         for k, t in enumerate(times):
             m = classical_moments(params, n, t)
-            mean_x, var_x = moments(grid, pos[k])
-            mean_p, var_p = moments(grid, mom[k])
+            mean_x, var_x = quadrature_moment_rows(grid, pos[k])
+            mean_p, var_p = quadrature_moment_rows(grid, mom[k])
             assert mean_x == pytest.approx(m.mean_x, abs=1e-8)
             assert mean_p == pytest.approx(m.mean_p, abs=1e-8)
             assert var_x == pytest.approx(m.var_x, abs=1e-8)
@@ -172,7 +166,7 @@ class TestMomentumRepresentation:
         grid = uniform_grid(-14.0, 14.0, 2048)
         spec = StateSpec(EXAMPLE3, 0)
         for t in TIMES:
-            _, var_p = moments(grid, eval_momentum(spec, grid, t))
+            _, var_p = quadrature_moment_rows(grid, eval_momentum(spec, grid, t))
             assert var_p == pytest.approx(
                 (97.0 - 65.0 * math.cos(2.0 * t)) / 144.0, abs=1e-10)
 
