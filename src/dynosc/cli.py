@@ -8,47 +8,30 @@
 Exit codes: 0 all checks pass / files written, 1 check failure, 2 config
 error (also data whose arithmetic leaves the float64 range: each command
 runs with NumPy's overflow, invalid and divide errors raised, so none ends
-as a warning with inf or nan in its output), 3 I/O error (stdout, files, or
-a fork that fails) or a worker process that ended unexpectedly.  Frame CSVs
-carry the header x,density,re_psi,im_psi (p,density,re_a,im_a for momentum
-frames), LF line endings, and floats as shortest round-trip decimals, so
-identical configs produce byte-identical output.  Each evolve run writes a
-manifest.json listing every written file with its sha256.  evolve reuses an
-output directory only if it is empty but for killed runs' staging
-directories, or holds a readable manifest.json (exit 3 otherwise), and once
-its own files are staged it removes the files that manifest lists under
-evolve's own file names.
+as a warning with inf or nan in its output), 3 I/O error, with one line
+`I/O error: ...` on stderr (stdout, an evolve --out that cannot be made or
+that evolve refuses, a file or staging directory that cannot be written, or
+a fork that fails), or a worker process that ended unexpectedly.  Frame
+CSVs carry the header x,density,re_psi,im_psi (p,density,re_a,im_a for
+momentum frames), LF line endings, and floats as shortest round-trip
+decimals, so identical configs produce byte-identical output.  Each evolve
+run writes a manifest.json listing every written file with its sha256.
+evolve reuses an output directory only if it is empty but for killed runs'
+staging directories, or holds a readable manifest.json.  It stages its own
+files in a `.evolve-*` directory inside it; only then does it read the
+earlier run's manifest, remove the files it lists under evolve's own file
+names, and move the staged files into place, manifest.json last.  So a
+failed run leaves the earlier one whole, and a run that published while
+this one ran is replaced whole, with no unlisted frame left behind.
 
-verify and evolve run on every usable core (`pool.ordered_map`), and a
-serial run is `taskset -c 0`.  verify's parent alone prints.  An evolve job
-is one representation over a block of FRAME_BLOCK frames: the worker
-evaluates the block, formats each frame (`csvtext`, the grid column
-formatted once per worker), writes it under its final name into the run's
-own staging directory (`.evolve-*` inside the output directory) and returns
-its sha256 and the seconds it spent evaluating, formatting and writing
-(`--timings` prints their sums to stderr); the parent formats nothing unless
-the run is serial.  The parent stages moments.csv and manifest.json beside
-the frames; only then does it remove the earlier run's files and move the
-staged ones into place in one pass, the frames in order and manifest.json
-last.  So a failed run leaves the earlier one whole, two runs into one
-directory never share a file, and the bytes do not depend on the number of
-workers.  A worker that dies ends the run with exit 3.  A killed run leaves
-its staging directory behind, which blocks no later run; its workers exit
-once their job is done.  verify sends its criteria longest first, in the
-order of `verification.CRITERIA`.  A scoped verify sends three jobs in print
-order: the rows before the split-step row, criterion 9
-(`verification.independent_propagation`) on the one member alone, then the
-rows after it, so that on two cores the propagation has a core to itself.
-The workers inherit one BLAS thread: the parent caps NumPy's OpenBLAS just
-before it forks, so no worker starts a helper thread to spin on the other
-worker's core.  The parent keeps that cap, since setting the count back
-would start OpenBLAS's helper threads again.  moments --check, which never
-forks, and a serial run keep OpenBLAS's own threads.  moments --check passes
-its frames to the DFT CHECK_FRAMES at a time; each call builds the
-quadrature kernel once, strip by strip, and never holds it whole, and
-`quadrature_moment_rows` gives the means and variances it compares.  moments
-writes its table with repr, which gives csvtext's bytes; only evolve's
-frames load csvtext, and only verify loads the battery (`verification`).
+How verify and evolve share their work among forked workers, and why the
+workers run one BLAS thread, is in README's "Worker pool" section and in
+`pool`'s docstring.  moments --check passes its frames to the DFT
+CHECK_FRAMES at a time; each call builds the quadrature kernel once, strip
+by strip, and never holds it whole, and `quadrature_moment_rows` gives the
+means and variances it compares.  moments writes its table with repr, which
+gives csvtext's bytes; only evolve's frames load csvtext, and only verify
+loads the battery (`verification`).
 """
 
 import argparse
@@ -195,8 +178,8 @@ def _frame_table(grid):
 
 def _frame_files(spec, grid, table, stage, job):
     """Write the frames of job (representation, first index, times) under
-    their names in the directory stage; their sha256s, and the seconds it
-    took to evaluate, format and write them.  table() gives the `CsvText`
+    their names in the directory stage; {file name: sha256}, and the seconds
+    it took to evaluate, format and write them.  table() gives the `CsvText`
     that formats them."""
     representation, first, times = job
     start = time.perf_counter()
@@ -204,8 +187,9 @@ def _frame_files(spec, grid, table, stage, job):
     evaluated = time.perf_counter()
     texts = table().views(header, columns)
     formatted = time.perf_counter()
-    digests = [_write(stage / _frame_name(representation, first + k), text)
-               for k, text in enumerate(texts)]
+    names = [_frame_name(representation, first + k) for k in range(len(texts))]
+    digests = {name: _write(stage / name, text)
+               for name, text in zip(names, texts)}
     return digests, (evaluated - start, formatted - evaluated,
                      time.perf_counter() - formatted)
 
@@ -215,40 +199,33 @@ def _previous_run(out_dir):
 
     Only names that the run's manifest.json lists and that evolve writes
     count, so no other file is ever removed.  [] for a directory that is
-    empty but for the staging directories of killed runs; None for one that
-    holds other files but no readable manifest.
+    empty but for the staging directories of killed runs.  FileExistsError
+    for one that holds other files but no readable manifest.
     """
     manifest = out_dir / "manifest.json"
-    if not manifest.exists():
-        return None if any(not path.name.startswith(".evolve-")
-                           for path in out_dir.iterdir()) else []
-    try:
-        listed = json.loads(manifest.read_text(encoding="utf-8"))
-        names = [entry["file"] for entry in listed["frames"]]
-        if "moments_file" in listed:
-            names.append(listed["moments_file"]["file"])
-    except (ValueError, KeyError, TypeError, RecursionError):
-        return None
-    return [out_dir / name for name in names
-            if isinstance(name, str) and _OWN_FILE.fullmatch(name)] + [manifest]
+    if manifest.exists():
+        try:
+            listed = json.loads(manifest.read_text(encoding="utf-8"))
+            names = [entry["file"] for entry in listed["frames"]]
+            if "moments_file" in listed:
+                names.append(listed["moments_file"]["file"])
+            return [out_dir / name for name in names if isinstance(name, str)
+                    and _OWN_FILE.fullmatch(name)] + [manifest]
+        except (ValueError, KeyError, TypeError, RecursionError):
+            pass
+    elif all(path.name.startswith(".evolve-") for path in out_dir.iterdir()):
+        return []
+    raise FileExistsError(f"output directory {out_dir} is not empty and holds "
+                          "no readable manifest.json; evolve reuses only a "
+                          "directory it wrote")
 
 
 def cmd_evolve(args, config):
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        previous = _previous_run(out_dir)
-        if previous is None:
-            print(f"output directory {out_dir} is not empty and holds no "
-                  "readable manifest.json; evolve reuses only a directory it "
-                  "wrote", file=sys.stderr)
-            return EXIT_IO
-        # The run's own directory, so no other run touches its files; making
-        # it is also the check that out_dir is writable.
-        stage = Path(tempfile.mkdtemp(prefix=".evolve-", dir=out_dir))
-    except OSError as exc:
-        print(f"output directory not writable: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _previous_run(out_dir)      # refuses a directory that evolve did not write
+    # The run's own directory, so no other run touches its files.
+    stage = Path(tempfile.mkdtemp(prefix=".evolve-", dir=out_dir))
     published = []
     complete = False
     try:
@@ -260,13 +237,9 @@ def cmd_evolve(args, config):
         grid = uniform_grid(config.grid.x_min, config.grid.x_max,
                             config.grid.points)
         moments = _moment_rows(config) if "moments" in config.outputs else None
-        frames = list(enumerate(config.time.times(), start=1))
-        entries = [{"index": index, "t": t,
-                    "file": _frame_name(representation, index)}
-                   for index, t in frames for representation in representations]
-        jobs = [(representation, frames[k][0],
-                 [t for _, t in frames[k:k + FRAME_BLOCK]])
-                for k in range(0, len(frames), FRAME_BLOCK)
+        times = config.time.times()
+        jobs = [(representation, k + 1, times[k:k + FRAME_BLOCK])
+                for k in range(0, len(times), FRAME_BLOCK)
                 for representation in representations]
         # Made by the first frame that a process formats: a pooled run's
         # parent neither imports nor builds a formatter.
@@ -274,13 +247,14 @@ def cmd_evolve(args, config):
         files = functools.partial(_frame_files, spec, grid, table, stage)
         digests, seconds = {}, [0.0, 0.0, 0.0]
         with ordered_map(files, jobs) as results:
-            for (representation, first, _), (job_digests, job_seconds) in zip(
-                    jobs, results):
+            for job_digests, job_seconds in results:
+                digests.update(job_digests)
                 seconds = [a + b for a, b in zip(seconds, job_seconds)]
-                for k, digest in enumerate(job_digests):
-                    digests[_frame_name(representation, first + k)] = digest
-        for entry in entries:
-            entry["sha256"] = digests[entry["file"]]
+        entries = [{"index": index, "t": t, "file": name,
+                    "sha256": digests[name]}
+                   for index, t in enumerate(times, start=1)
+                   for name in [_frame_name(representation, index)
+                                for representation in representations]]
         manifest = {"schema_version": 1, "config_echo": config.to_dict(),
                     "frames": entries}
         names = [entry["file"] for entry in entries]
@@ -291,8 +265,9 @@ def cmd_evolve(args, config):
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _write(stage / "manifest.json", manifest_text.encode("utf-8"))
         names.append("manifest.json")
-        # Every file is staged: only now does the earlier run go.
-        for path in previous:
+        # Every file is staged: only now is the earlier run read and removed,
+        # so a run that published since this one started goes whole.
+        for path in _previous_run(out_dir):
             path.unlink(missing_ok=True)
         for name in names:
             os.replace(stage / name, out_dir / name)
@@ -304,7 +279,7 @@ def cmd_evolve(args, config):
                 with contextlib.suppress(OSError):
                     path.unlink()
         shutil.rmtree(stage, ignore_errors=True)
-    print(f"wrote {len(manifest['frames'])} frame file(s) to {out_dir}")
+    print(f"wrote {len(entries)} frame file(s) to {out_dir}")
     if args.timings:
         print(f"timings: {len(jobs)} job(s), evaluate {seconds[0]:.3f} s, "
               f"format {seconds[1]:.3f} s, write {seconds[2]:.3f} s "

@@ -399,7 +399,3 @@ class CsvText:
                 out.append(view[at - kept.size - header.size:at])
         return out
 
-    def texts(self, header, columns):
-        """`views` as bytes, which the next call leaves alone."""
-        return [bytes(text) for text in self.views(header, columns)]
-

@@ -1,8 +1,10 @@
 """Hermite polynomials and L2-normalized Hermite functions.
 
-Physicists' convention throughout: H_0 = 1, H_1 = 2u and
+Physicists' convention throughout: H_{-1} = 0, H_0 = 1 and
 
-    H_{k+1}(u) = 2u H_k(u) - 2k H_{k-1}(u).
+    H_{k+1}(u) = 2u H_k(u) - 2k H_{k-1}(u),
+
+so H_1 = 2u.
 
 The normalized Hermite functions are
 
@@ -10,7 +12,7 @@ The normalized Hermite functions are
 
 an orthonormal basis of L2(R).  They are evaluated by the scaled recurrence
 
-    phi_0 = pi^{-1/4} e^{-u^2/2},       phi_1 = sqrt(2) u phi_0,
+    phi_{-1} = 0,       phi_0 = pi^{-1/4} e^{-u^2/2},
     phi_{k+1} = sqrt(2/(k+1)) u phi_k - sqrt(k/(k+1)) phi_{k-1},
 
 which carries the normalized values directly so no intermediate grows like
@@ -37,32 +39,30 @@ def check_order(n):
     return int(n)
 
 
-def hermite(n, u):
-    """H_n(u) by the three-term recurrence.  Accepts scalars or arrays."""
-    n = check_order(n)
-    u = np.asarray(u, dtype=float)
+def _arguments(name, n, u):
+    """The checked order and the argument as a float array."""
+    n, u = check_order(n), np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
-        raise DomainError("hermite: argument must be finite")
-    h0 = np.ones_like(u)
-    if n == 0:
-        return float(h0) if h0.ndim == 0 else h0
-    h1 = 2.0 * u
-    for k in range(1, n):
+        raise DomainError(f"{name}: argument must be finite")
+    return n, u
+
+
+def hermite(n, u):
+    """H_n(u) by the three-term recurrence, from H_{-1} = 0.  Accepts
+    scalars or arrays."""
+    n, u = _arguments("hermite", n, u)
+    h0, h1 = 0.0, np.ones_like(u)
+    for k in range(n):
         h0, h1 = h1, 2.0 * u * h1 - 2.0 * k * h0
     return float(h1) if h1.ndim == 0 else h1
 
 
 @np.errstate(over="ignore")  # e^{-u^2/2} is exactly 0 once u^2 overflows
 def hermite_function(n, u):
-    """Normalized Hermite function phi_n(u).  Accepts scalars or arrays."""
-    n = check_order(n)
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise DomainError("hermite_function: argument must be finite")
-    h0 = np.pi ** -0.25 * np.exp(-0.5 * u * u)
-    if n == 0:
-        return float(h0) if h0.ndim == 0 else h0
-    h1 = np.sqrt(2.0) * u * h0
-    for k in range(1, n):
+    """Normalized Hermite function phi_n(u), from phi_{-1} = 0.  Accepts
+    scalars or arrays."""
+    n, u = _arguments("hermite_function", n, u)
+    h0, h1 = 0.0, np.pi ** -0.25 * np.exp(-0.5 * u * u)
+    for k in range(n):
         h0, h1 = h1, np.sqrt(2.0 / (k + 1.0)) * u * h1 - np.sqrt(k / (k + 1.0)) * h0
     return float(h1) if h1.ndim == 0 else h1

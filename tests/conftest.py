@@ -64,3 +64,8 @@ def run_cli(argv, cwd=None, one_core=False):
         else None,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))})
+
+
+def texts(table, header, columns):
+    """The CSV texts of `table.views` as bytes."""
+    return [bytes(view) for view in table.views(header, columns)]

@@ -30,7 +30,7 @@ from dynosc.csvtext import CsvText
 from dynosc.hermite import N_MAX
 from dynosc.states import MIN_GRID_POINTS
 
-from conftest import EDGE_VALUES, assert_no_child_left, run_cli
+from conftest import EDGE_VALUES, assert_no_child_left, run_cli, texts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -624,8 +624,55 @@ class TestEvolveCommand:
 
         monkeypatch.setattr(tempfile, "mkdtemp", refuse)
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
-        assert "output directory not writable" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "I/O error: [Errno 13] Permission denied\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_refusal_is_one_io_error_line(self, tmp_path, capsys, monkeypatch,
+                                          cores):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        path = write_config(tmp_path)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"I/O error: output directory {out} is not empty and holds no "
+            "readable manifest.json; evolve reuses only a directory it wrote\n")
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_run_published_meanwhile_is_replaced_whole(self, tmp_path,
+                                                        monkeypatch):
+        # out holds a 2-frame run.  A 5-frame run starts and publishes while
+        # a second 2-frame run writes its first frame; the 2-frame run then
+        # removes the 5-frame run that it finds when it publishes.
+        out = tmp_path / "out"
+        paths = {}
+        for frames in (2, 5):
+            (tmp_path / str(frames)).mkdir()
+            paths[frames] = write_config(tmp_path / str(frames),
+                                         time={"frames": frames})
+        argv = {frames: ["evolve", "--config", str(path), "--out", str(out)]
+                for frames, path in paths.items()}
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+        assert main(argv[2]) == 0
+        write, started, inner_exits = cli._write, [], []
+
+        def write_then_start_a_longer_run(target, data):
+            if not started:
+                started.append(target)
+                inner_exits.append(main(argv[5]))
+            return write(target, data)
+
+        monkeypatch.setattr(cli, "_write", write_then_start_a_longer_run)
+        assert main(argv[2]) == 0
+        assert inner_exits == [0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "position_0001.csv", "position_0002.csv"]
+        assert [entry["file"] for entry in manifest["frames"]] == [
+            "position_0001.csv", "position_0002.csv"]
 
     def test_overlapping_runs_end_whole(self, tmp_path, monkeypatch):
         # A second run starts into --out, which holds a finished run, while
@@ -989,7 +1036,7 @@ class TestExportBytes:
         table = CsvText(columns.shape[1], 3, lead=columns[0])
         for shift in (0, 1):    # a second table through the same cells
             rolled = np.roll(columns[1:], shift, axis=1)
-            [text] = table.texts(header, rolled[:, None])
+            [text] = texts(table, header, rolled[:, None])
             assert_same_text(text.decode("ascii"),
                              reference_csv(header, [columns[0], *rolled]))
 

@@ -12,7 +12,7 @@ from dynosc.cli import build_packet
 from dynosc.config import preset_config
 from dynosc.csvtext import CHUNK, CsvText
 
-from conftest import EDGE_VALUES
+from conftest import EDGE_VALUES, texts
 
 try:
     import resource
@@ -29,7 +29,7 @@ def per_value(header, columns):
 
 def assert_same(values):
     values = np.asarray(values, dtype=np.float64)
-    [text] = CsvText(values.size, 1).texts("v", [values[None]])
+    [text] = texts(CsvText(values.size, 1), "v", [values[None]])
     got = text.split(b"\n")
     want = per_value("v", [values]).split(b"\n")
     bad = [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b]
@@ -100,7 +100,8 @@ def test_across_the_chunk_boundary(size):
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
     assert_same(values)
     columns = [values, values[::-1], -values]
-    assert CsvText(size, 3).texts("a,b,c", [c[None] for c in columns]) == [
+    assert texts(CsvText(size, 3), "a,b,c",
+                 [c[None] for c in columns]) == [
         per_value("a,b,c", columns)]
 
 
@@ -115,7 +116,7 @@ def test_lead_column_and_reused_cells(rows, tables):
     for scale in (1e-20, 1e20):
         columns = [rng.standard_normal((tables, rows)) * scale,
                    rng.standard_normal((tables, rows))]
-        assert table.texts("x,a,b", columns) == [
+        assert texts(table, "x,a,b", columns) == [
             per_value("x,a,b", [grid, columns[0][k], columns[1][k]])
             for k in range(tables)]
 
@@ -154,7 +155,7 @@ def test_layouts_switch_between_calls(monkeypatch, rows, tables):
     def check(*names, count=tables):
         columns = [LAYOUTS[names[k % len(names)]](rng, (count, rows))
                    for k in range(2)]
-        assert table.texts("x,a,b", columns) == [
+        assert texts(table, "x,a,b", columns) == [
             per_value("x,a,b", [grid, columns[0][k], columns[1][k]])
             for k in range(count)]
 
