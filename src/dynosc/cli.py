@@ -5,24 +5,9 @@
     dynosc evolve  (--preset NAME | --config PATH) --out DIR [--timings]
     dynosc moments (--preset NAME | --config PATH) [--check]
 
-Exit codes: 0 all checks pass / files written, 1 check failure, 2 config
-error (also data whose arithmetic leaves the float64 range: each command
-runs with NumPy's overflow, invalid and divide errors raised, so none ends
-as a warning with inf or nan in its output), 3 I/O error, with one line
-`I/O error: ...` on stderr (stdout, an evolve --out that cannot be made or
-that evolve refuses, a file or staging directory that cannot be written, or
-a fork that fails), or a worker process that ended unexpectedly.  Frame
-CSVs carry the header x,density,re_psi,im_psi (p,density,re_a,im_a for
-momentum frames), LF line endings, and floats as shortest round-trip
-decimals, so identical configs produce byte-identical output.  Each evolve
-run writes a manifest.json listing every written file with its sha256.
-evolve reuses an output directory only if it is empty but for killed runs'
-staging directories, or holds a readable manifest.json.  It stages its own
-files in a `.evolve-*` directory inside it; only then does it read the
-earlier run's manifest, remove the files it lists under evolve's own file
-names, and move the staged files into place, manifest.json last.  So a
-failed run leaves the earlier one whole, and a run that published while
-this one ran is replaced whole, with no unlisted frame left behind.
+Exit codes, the frame CSV and manifest formats, and how evolve stages,
+publishes and replaces the files in its output directory are in README's
+"Command-line interface", "Config files" and "Output format" sections.
 
 How verify and evolve share their work among forked workers, and why the
 workers run one BLAS thread, is in README's "Worker pool" section and in
@@ -78,22 +63,13 @@ CHECK_FRAMES = 256
 _OWN_FILE = re.compile(r"(position|momentum)_[0-9]{4,}\.csv|moments\.csv")
 
 
-def _resolve_config(args):
-    if args.config and args.preset:
-        raise ConfigError("give either --config or --preset, not both")
-    if args.config:
-        return load_config(args.config)
-    if args.preset:
-        return preset_config(args.preset)
-    if args.command != "verify":
-        raise ConfigError(f"{args.command} needs --config or --preset")
-    return None
-
-
-def _add_source_options(parser):
-    parser.add_argument("--config", metavar="PATH",
+def _add_source_options(parser, required):
+    """--config and --preset, of which argparse accepts at most one, and
+    exactly one if required."""
+    source = parser.add_mutually_exclusive_group(required=required)
+    source.add_argument("--config", metavar="PATH",
                         help="JSON run configuration")
-    parser.add_argument("--preset", choices=PRESET_NAMES,
+    source.add_argument("--preset", choices=PRESET_NAMES,
                         help="built-in run configuration")
 
 
@@ -227,7 +203,6 @@ def cmd_evolve(args, config):
     # The run's own directory, so no other run touches its files.
     stage = Path(tempfile.mkdtemp(prefix=".evolve-", dir=out_dir))
     published = []
-    complete = False
     try:
         representations = [rep for rep, wanted in (
             (POSITION, "position_density" in config.outputs
@@ -272,12 +247,12 @@ def cmd_evolve(args, config):
         for name in names:
             os.replace(stage / name, out_dir / name)
             published.append(out_dir / name)
-        complete = True
+    except BaseException:
+        for path in published:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     finally:
-        if not complete:
-            for path in published:
-                with contextlib.suppress(OSError):
-                    path.unlink()
         shutil.rmtree(stage, ignore_errors=True)
     print(f"wrote {len(entries)} frame file(s) to {out_dir}")
     if args.timings:
@@ -294,7 +269,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the verification battery")
-    _add_source_options(verify)
+    _add_source_options(verify, required=False)
     verify.add_argument("--appendix-b-denominator",
                         choices=(BETA0_QUARTIC, BETA0_SQUARED),
                         default=BETA0_QUARTIC,
@@ -307,7 +282,7 @@ def build_parser():
     verify.set_defaults(func=cmd_verify)
 
     evolve = sub.add_parser("evolve", help="export per-frame CSV data")
-    _add_source_options(evolve)
+    _add_source_options(evolve, required=True)
     evolve.add_argument("--out", metavar="DIR", required=True,
                         help="output directory")
     evolve.add_argument("--timings", action="store_true",
@@ -317,7 +292,7 @@ def build_parser():
     evolve.set_defaults(func=cmd_evolve)
 
     moments = sub.add_parser("moments", help="print the closed-form moment table")
-    _add_source_options(moments)
+    _add_source_options(moments, required=True)
     moments.add_argument("--check", action="store_true",
                          help="append relative errors against quadrature")
     moments.set_defaults(func=cmd_moments)
@@ -351,7 +326,11 @@ def main(argv=None):
         # NumPy overflow, and the inf and nan it makes, raise here and in the
         # workers, which fork with this state, rather than warn and go on.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            config = _resolve_config(args)
+            config = None
+            if args.config is not None:
+                config = load_config(args.config)
+            elif args.preset is not None:
+                config = preset_config(args.preset)
             code = args.func(args, config)
         # A full or closed stdout fails here at the latest, not at exit.
         sys.stdout.flush()

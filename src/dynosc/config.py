@@ -9,7 +9,7 @@ densities integrate to one.
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .errors import ConfigError
 from .flows import OscillatorParams
@@ -114,11 +114,10 @@ def preset_config(name):
     )
 
 
-# The params a config may leave out, and their values then.  These are not
-# OscillatorParams' own defaults: a config must give beta0.
-_OPTIONAL_PARAMS = dict.fromkeys(
-    ("alpha0", "gamma0", "delta0", "eps0", "kappa0"), 0.0)
-_TOP_KEYS = ("schema_version", *(f.name for f in fields(RunConfig)))
+# The keys a config may leave out, by section, and their values then.  These
+# are not OscillatorParams' own defaults: a config must give beta0.
+_DEFAULTS = {OscillatorParams: dict.fromkeys(
+    ("alpha0", "gamma0", "delta0", "eps0", "kappa0"), 0.0)}
 
 
 def _require(mapping, key, kind, where):
@@ -141,22 +140,36 @@ def _require(mapping, key, kind, where):
     return value
 
 
-def _reject_unknown(mapping, allowed, where):
+def _section(cls, mapping, where, extra=()):
+    """cls built from `mapping`, the JSON object of config section `where`.
+
+    Keys other than cls's fields and `extra` are rejected, and
+    `_DEFAULTS[cls]` fill the keys that may be left out.  Each field is read
+    by its annotation: a dataclass as a section of its own ({} if left out),
+    a tuple from a list, and a number by `_require`.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    allowed = [*extra, *(f.name for f in fields(cls))]
     unknown = [key for key in mapping if key not in allowed]
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}; "
-                          f"allowed: {list(allowed)}")
-
-
-def _section(cls, mapping, where, defaults=None):
-    """cls built from the JSON object `mapping`, section `where` of a config:
-    each field of cls read by `_require` as its annotated type, with
-    `defaults` for the keys that may be left out."""
-    _reject_unknown(mapping, [f.name for f in fields(cls)], where)
-    mapping = {**(defaults or {}), **mapping}
+                          f"allowed: {allowed}")
+    mapping = {**_DEFAULTS.get(cls, {}), **mapping}
+    # The top level's keys go bare: 'n' beside params.'mu0'.
+    prefix = "" if cls is RunConfig else f"{where}."
+    values = {}
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            values[f.name] = _section(f.type, mapping.get(f.name, {}), f.name)
+        elif f.type is tuple:
+            if not isinstance(mapping.get(f.name), (list, tuple)):
+                raise ConfigError(f"{prefix}{f.name!r} must be a list")
+            values[f.name] = tuple(mapping[f.name])
+        else:
+            values[f.name] = _require(mapping, f.name, f.type, prefix)
     try:
-        return cls(**{f.name: _require(mapping, f.name, f.type, f"{where}.")
-                      for f in fields(cls)})
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -165,31 +178,11 @@ def config_from_dict(raw):
     """Build and validate a RunConfig from parsed JSON."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    p = raw.get("params")
-    if not isinstance(p, dict):
-        raise ConfigError("missing 'params' object")
-    params = _section(OscillatorParams, p, "params", _OPTIONAL_PARAMS)
-    g = raw.get("grid", {})
-    t = raw.get("time", {})
-    if not isinstance(g, dict) or not isinstance(t, dict):
-        raise ConfigError("'grid' and 'time' must be objects")
-    grid = _section(GridSpec, g, "grid")
-    time = _section(TimeSpec, t, "time")
-    outputs = raw.get("outputs")
-    if not isinstance(outputs, (list, tuple)):
-        raise ConfigError("'outputs' must be a list")
-    return RunConfig(
-        params=params,
-        n=_require(raw, "n", int, ""),
-        grid=grid,
-        time=time,
-        outputs=tuple(outputs),
-    )
+    return _section(RunConfig, raw, "config", ("schema_version",))
 
 
 def load_config(path):

@@ -178,7 +178,7 @@ def dft_momentum_rows(grid, rows):
     """
     rows = _check_rows(grid, rows)
     edges = np.abs(rows[..., (0, -1)]) ** 2
-    if edges.max() > DFT_DECAY_THRESHOLD:
+    if np.max(edges, initial=0.0) > DFT_DECAY_THRESHOLD:
         warnings.warn(
             "boundary density exceeds 1e-12; momentum samples lose accuracy",
             PrecisionWarning, stacklevel=2)

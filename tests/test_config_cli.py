@@ -82,9 +82,10 @@ def with_value(field, value):
 
 # The one message that a config with one error in one place gets: a missing
 # key, a non-number, a non-finite number, a non-integer (the number fields
-# of params take any finite number) and an unknown key in each section.
+# of params take any finite number), an unknown key in each section and a
+# section that is not an object.
 SINGLE_ERRORS = [
-    (("params",), LEFT_OUT, "missing 'params' object"),
+    (("params",), LEFT_OUT, "missing params.'mu0'"),
     (("params", "mu0"), LEFT_OUT, "missing params.'mu0'"),
     (("params", "beta0"), LEFT_OUT, "missing params.'beta0'"),
     (("params", "alpha0"), "0.5", "params.'alpha0' must be a number"),
@@ -96,7 +97,7 @@ SINGLE_ERRORS = [
     (("params", "mu_0"), 1.0,
      "unknown keys in params: ['mu_0']; allowed: ['mu0', 'alpha0', 'beta0', "
      "'gamma0', 'delta0', 'eps0', 'kappa0']"),
-    (("grid",), 3, "'grid' and 'time' must be objects"),
+    (("grid",), 3, "grid must be a JSON object"),
     (("grid",), LEFT_OUT, "missing grid.'x_min'"),
     (("grid", "points"), LEFT_OUT, "missing grid.'points'"),
     (("grid", "x_max"), "10", "grid.'x_max' must be a number"),
@@ -105,7 +106,7 @@ SINGLE_ERRORS = [
     (("grid", "points"), math.inf, "grid.'points' must be an integer"),
     (("grid", "step"), 0.1,
      "unknown keys in grid: ['step']; allowed: ['x_min', 'x_max', 'points']"),
-    (("time",), [], "'grid' and 'time' must be objects"),
+    (("time",), [], "time must be a JSON object"),
     (("time", "t_start"), LEFT_OUT, "missing time.'t_start'"),
     (("time", "frames"), LEFT_OUT, "missing time.'frames'"),
     (("time", "t_end"), [1.0], "time.'t_end' must be a number"),
@@ -123,6 +124,8 @@ SINGLE_ERRORS = [
     (("colour",), "red",
      "unknown keys in config: ['colour']; allowed: ['schema_version', "
      "'params', 'n', 'grid', 'time', 'outputs']"),
+    (("params",), [1.0], "params must be a JSON object"),
+    (("grid",), "x", "grid must be a JSON object"),
 ]
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6)
@@ -329,8 +332,34 @@ class TestMomentsCommand:
             assert all(e < 1e-7 for e in errors)
 
     def test_requires_source(self, capsys):
-        assert main(["moments"]) == 2
-        assert "config error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as caught:
+            main(["moments"])
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "dynosc moments: error: one of the arguments --config --preset "
+            "is required\n")
+
+    def test_rejects_both_sources(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["moments", "--config", "", "--preset", "example3"])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "dynosc moments: error: argument --preset: not allowed with "
+            "argument --config\n")
+
+
+@pytest.mark.parametrize("command,group", [
+    ("evolve", "(--config PATH | --preset"),
+    ("moments", "(--config PATH | --preset"),
+    ("verify", "[--config PATH | --preset")])
+def test_usage_shows_the_source_group(command, group, capsys):
+    # Round brackets: exactly one source is required; square: at most one.
+    with pytest.raises(SystemExit) as caught:
+        main([command, "-h"])
+    assert caught.value.code == 0
+    assert group in capsys.readouterr().out
 
 
 # Runs cli.main on its arguments, output discarded, then prints its exit code
@@ -452,8 +481,14 @@ class TestEvolveCommand:
         out = blocker / "sub"
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
 
-    def test_needs_source(self, tmp_path):
-        assert main(["evolve", "--out", str(tmp_path / "x")]) == 2
+    def test_needs_source(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["evolve", "--out", str(tmp_path / "x")])
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "dynosc evolve: error: one of the arguments --config --preset "
+            "is required\n")
+        assert not (tmp_path / "x").exists()
 
     def test_failed_run_leaves_no_files(self, tmp_path, capsys):
         # The moment table fails, its variances cancel to zero, before any
@@ -1120,6 +1155,15 @@ class TestVerifyCommand:
         path = write_config(tmp_path, params={"beta0": 0.0})
         assert main(["verify", "--config", str(path)]) == 2
         assert "beta0 must be nonzero" in capsys.readouterr().err
+
+    def test_empty_config_path_is_a_config_error(self, capsys):
+        # An empty --config names no file; it does not select the full
+        # battery.
+        assert main(["verify", "--config", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot read config: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command,overrides", [
         ("verify", {"grid": {"points": 100_000}}),

@@ -484,6 +484,14 @@ class TestRowChecks:
             with pytest.raises(DomainError, match="amplitudes must be finite"):
                 transform(x, rows[1])
 
+    def test_empty_block_gives_an_empty_result(self, transform):
+        x = uniform_grid(-12.0, 12.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = transform(x, np.empty((0, 64), dtype=complex))
+        # (0, N) rows, or the (means, variances) pair of (0,) rows.
+        assert np.shape(out) in ((0, 64), (2, 0))
+
     @pytest.mark.parametrize("grid", [
         uniform_grid(-12.0, 12.0, 1024) ** 3 / 144.0,
         uniform_grid(-12.0, 12.0, 1024)[::-1],
