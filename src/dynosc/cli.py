@@ -221,10 +221,9 @@ def cmd_evolve(args, config):
         table = functools.cache(functools.partial(_frame_table, grid))
         files = functools.partial(_frame_files, spec, grid, table, stage)
         digests, seconds = {}, [0.0, 0.0, 0.0]
-        with ordered_map(files, jobs) as results:
-            for job_digests, job_seconds in results:
-                digests.update(job_digests)
-                seconds = [a + b for a, b in zip(seconds, job_seconds)]
+        for job_digests, job_seconds in ordered_map(files, jobs):
+            digests.update(job_digests)
+            seconds = [a + b for a, b in zip(seconds, job_seconds)]
         entries = [{"index": index, "t": t, "file": name,
                     "sha256": digests[name]}
                    for index, t in enumerate(times, start=1)

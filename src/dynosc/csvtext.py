@@ -6,8 +6,8 @@ float-to-string conversion", PLDI 2018, https://doi.org/10.1145/3192366.3192369)
 finds the same digits with fixed-width integer arithmetic, so here it runs
 over whole arrays in `uint64`, with 64x64 -> 128-bit products built from
 32-bit limbs.  The digits are laid out by repr's rule: positional when the
-decimal exponent is from -4 to 15 (`0.0001`, `12.5`, `123.0`), otherwise
-`d.ddde±XX` with at least two exponent digits (`1e-05`, `1e+16`).
+decimal exponent is from -4 to 15 (`0.0001`, `12.5`), otherwise `d.ddde±XX`
+with at least two exponent digits (`1e-05`, `1e+16`).
 
 Each value gets a cell of WIDTH bytes, with its sign, its exponent and the
 separator at fixed columns and its digits around a fixed point column, and
@@ -15,8 +15,9 @@ a keep row that selects its text, so one boolean selection over a table's
 cells yields the CSV.  A `CsvText` makes its cells and a workspace of
 uint64 rows once; every pass writes its intermediates there (`out=`), so a
 warmed call allocates little and faults in no page.  Values on Ryū's rare
-trailing-zero branch, |v| >= 2^50, subnormals and non-finite values take
-repr one at a time.
+trailing-zero branch (every exact integer among them, so no cell holds
+one), powers of two, |v| >= 2^50, subnormals and non-finite values take
+repr one at a time; zeros are laid out as 0.0.
 """
 
 import functools
@@ -73,18 +74,14 @@ def _tables():
     e2 = np.maximum(exp, 1) - 1023 - 52 - 2           # Ryū's binary exponent
     q = ((-e2 * 732923) >> 20) - 1          # floor(log10(5^-e2)) - 1
     i = -e2 - q
-    # 5^i cut to its top 125 bits, as four 32-bit limbs, for each i; and
-    # half of it, rounded up, as two 64-bit words.
+    # 5^i cut to its top 125 bits, as four 32-bit limbs, for each i.
     pow5 = [1]
     for _ in range(i.max()):
         pow5.append(pow5[-1] * 5)
     cut = [p.bit_length() - _POW5_BITS for p in pow5]
     mul = [p >> c if c >= 0 else p << -c for p, c in zip(pow5, cut)]
-
-    def words(ints, size):
-        data = b"".join(m.to_bytes(16, "little") for m in ints)
-        return np.frombuffer(data, size).reshape(len(ints), -1).T[:, i]
-
+    limbs = np.frombuffer(b"".join(m.to_bytes(16, "little") for m in mul),
+                          "<u4").reshape(len(mul), -1).T[:, i]
     # vr = floor(4 m2 mul / 2^j), j = q - cut, is the 192-bit product
     # 2 m2 mul from bit 64 + shift on; vr is digits x 10^(q + e2).
     shift = (q - np.array(cut)[i] - 1 - 64).astype(np.uint64)
@@ -111,8 +108,7 @@ def _tables():
     keep = ((col >= start) & (col < stop) | (col == 0) & (sign == 1)
             | (col >= tail))
     keep &= (col != _POINT) | (stop > _POINT + 1) | (kind == 0)
-    return {"limbs": words(mul, "<u4").astype(np.uint64),
-            "half": words([(m + 1) >> 1 for m in mul], "<u8"), "shift": shift,
+    return {"limbs": limbs.astype(np.uint64), "shift": shift,
             "zeros_mask": np.where(q < 63, (np.uint64(1) << q.astype(
                 np.uint64)) - np.uint64(1), np.uint64(2 ** 64 - 1)),
             "point": point, "digits_below": point - (q + e2), "quads": quads,
@@ -199,21 +195,19 @@ def _shortest(vr, up, vm, w):
 def _ryu(bits, w, tab):
     """Ryū's shortest digits (w.c2) of normal values below 2^50, their count
     (w.length), point (w.point: the value is 0.DIGITS x 10^point), exponent
-    field (w.exp), and whether Ryū's trailing-zero branch applies."""
+    field (w.exp), and whether the value takes repr (w.trailing): it is on
+    Ryū's trailing-zero branch, or a power of two."""
     at, m2 = w.exp.view(np.intp), w.m2
     np.bitwise_and(np.right_shift(bits, 52, out=w.exp), 0x7FF, out=w.exp)
     np.bitwise_and(bits, (1 << 52) - 1, out=m2)
-    # Ryū's mmShift is 0 at powers of two above the least normal.
-    np.less(w.exp, 2, out=w.up)
-    power = np.flatnonzero(np.greater(np.equal(m2, 0, out=w.go), w.up,
-                                      out=w.go))
+    np.equal(m2, 0, out=w.up)                # a power of two, or zero
     m2 |= 1 << 52
     # Ryū's vrIsTrailingZeros: 4 m2 has at least q trailing zero bits.
     np.left_shift(m2, 2, out=w.t)
     w.t &= _take(tab["zeros_mask"], at, w.k)
-    np.equal(w.t, 0, out=w.trailing)
+    np.logical_or(np.equal(w.t, 0, out=w.trailing), w.up, out=w.trailing)
     # vr, vp and vm are 2 m2 mul, 2 m2 mul + mul and 2 m2 mul - mul (e2 <
-    # 0), shifted; at powers of two vm is 2 m2 mul - ceil(mul / 2).
+    # 0), shifted.
     m2 <<= 1
     limbs = [_take(limb, at, c) for limb, c in zip(
         tab["limbs"], (w.c0, w.c1, w.c2, w.c3))]
@@ -225,8 +219,6 @@ def _ryu(bits, w, tab):
     np.add(w.mid, mul_hi, out=up_mid)
     up_mid += _count(w.up, w.t)
     np.add(w.hi, _count(np.less(up_mid, w.mid, out=w.up), w.t), out=up_hi)
-    if power.size:
-        mul_lo[power], mul_hi[power] = tab["half"][:, at[power]]
     down_mid, down_hi = m2, w.nh
     np.subtract(w.mid, mul_hi, out=down_mid)
     down_mid -= _count(np.less(w.lo, mul_lo, out=w.down), w.t)
@@ -274,33 +266,34 @@ def _fill(values, cells, index, work):
     _ryu(flat.view(np.uint64), w, tab)
     digits, length, point, t = w.c2, w.length, w.point, w.t
     before, after, cut, start, ti = w.before, w.after, w.cut, w.start, w.ti
-    # Zeros, and the values repr takes: those on Ryū's trailing-zero branch,
-    # large or non-finite values and subnormals (their binade spans decades).
+    # Zeros, and the values repr takes: those flagged by _ryu, large or
+    # non-finite values and subnormals (their binade spans decades).  They
+    # are laid out as 0.0: digits 00, point 1.
     np.greater_equal(np.subtract(w.exp, 1, out=t), _MAX_EXP, out=w.slow)
     lane = np.flatnonzero(np.logical_or(w.slow, w.trailing, out=w.slow))
-    digits[lane], length[lane], point[lane] = 0, 1, 1
+    digits[lane], length[lane], point[lane] = 0, 2, 1
     np.left_shift(flat.view(np.uint64), 1, out=t)
     np.greater(w.slow, np.equal(t, 0, out=w.up), out=w.slow)   # and not zero
-    # 12.5 and 12000.0 have 1 to 16 digits before the point, 0.00125 none;
-    # 1.25e-05 has one.  a - lo as unsigned is below n when lo <= a < lo + n.
+    # 12.5 has 1 to 16 digits before the point, 0.00125 none; 1.25e-05 has
+    # one.  a - lo as unsigned is below n when lo <= a < lo + n.  An exact
+    # integer, such as 123.0, is on Ryū's trailing-zero branch, so a value
+    # laid out here has at least one digit after its point.
     np.less(np.subtract(point, 1, out=ti).view(np.uint64), 16, out=w.integral)
     np.less(np.add(point, 3, out=ti).view(np.uint64), 4, out=w.fraction)
     np.equal(w.integral, w.fraction, out=w.science)     # neither of them
     np.multiply(point, _count(w.integral, before), out=before)
     before += _count(w.science, ti)
-    np.maximum(np.subtract(length, before, out=after), 0, out=cut)
+    np.subtract(length, before, out=after)
     # `whole` goes before the point (right-aligned up to the point column),
     # `digits` after it (left-aligned).
-    whole = np.floor_divide(digits, _take(_POW10, cut, t), out=w.k)
+    whole = np.floor_divide(digits, _take(_POW10, after, t), out=w.k)
     digits -= np.multiply(whole, t, out=t)
-    digits *= _take(_POW10, np.subtract(17, cut, out=cut), t)
-    np.maximum(np.negative(after, out=cut), 0, out=cut)
-    whole *= _take(_POW10, cut, t)                     # 12000.0
+    digits *= _take(_POW10, np.subtract(17, after, out=cut), t)
     top = int(whole.max(initial=0))
     width = next(n for n in (4, 8, 12, 16) if top < 10 ** n)
     # 0.125 takes its 0 from the padding of `whole`; 0.0125 to 0.000125 take
     # theirs, and the point, from quads past 10^4, with a 0 in the point
-    # column; 123.0 has one 0 after its point.
+    # column.
     np.logical_and(w.fraction, np.less(point, 0, out=w.up), out=w.up)
     last = np.multiply(np.subtract(9999, point, out=cut), _count(w.up, ti),
                        out=cut)
@@ -311,9 +304,7 @@ def _fill(values, cells, index, work):
     np.subtract(1, point, out=start)
     start *= _count(w.fraction, cut)
     np.subtract(_POINT, np.add(start, before, out=start), out=start)
-    np.not_equal(w.integral, w.fraction, out=w.up)     # not 1.25e-05
-    stop = np.maximum(after, _count(w.up, cut), out=after)
-    stop += _POINT + 1
+    stop = np.add(after, _POINT + 1, out=after)
     # The exponent, point - 1, is negative since |v| < 2^50: look up -point.
     np.negative(point, out=cut)
     _put(cells, _EXP, _take(tab["exps"], cut, t).view(np.uint8).reshape(

@@ -150,6 +150,8 @@ def _quadrature_transform(grid, rows):
     weights = np.full(grid.size, dx, dtype=complex)
     weights[0] = weights[-1] = 0.5 * dx
     out = np.empty(rows.shape, dtype=complex)
+    if not out.size:                     # no rows: no kernel to apply
+        return out
     pairs = list(zip(out.reshape(-1, grid.size), rows.reshape(-1, grid.size)))
     weighted = np.empty(grid.size, dtype=complex)
     buffer = np.empty((KERNEL_STRIP, grid.size), dtype=complex)

@@ -1,12 +1,13 @@
 """Ordered map over forked worker processes, one per usable core.
 
 `verify` runs its measurements and `evolve` its blocks of frames through
-`ordered_map`, in job order, so the output does not depend on the number of
-workers.  The workers are bare `os.fork` children, with no `multiprocessing`
-and no thread.  They read job indices from one pipe and write pickled
-results on one each, which the parent polls.  A worker holds only its own
-pipe ends, so one whose parent is gone reads the end of the job pipe, or
-gets EPIPE, and exits without a word.
+`ordered_map`, which returns the list of results in job order, so the
+output does not depend on the number of workers.  The workers are bare
+`os.fork` children, with no `multiprocessing` and no thread.  They read job
+indices from one pipe and write pickled results on one each, which the
+parent polls.  A worker holds only its own pipe ends, so one whose parent
+is gone reads the end of the job pipe, or gets EPIPE, and exits without a
+word.  Every worker is reaped before `ordered_map` returns or raises.
 
 The workers inherit one BLAS thread: just before it forks them, the parent
 caps NumPy's bundled OpenBLAS at one thread, so no worker starts a helper
@@ -99,9 +100,10 @@ def _serve(fn, jobs, tasks, results, others):
 
 
 def _results(jobs, feed, workers):
-    """The results of the jobs in order, read from the workers' pipes."""
+    """The list of the jobs' results in order, read from the workers' pipes;
+    the first failing job's error, once every earlier job has returned."""
     sent = received = 0
-    ready, poll = {}, select.poll()
+    ready, values, poll = {}, [], select.poll()
     for fd in workers:
         poll.register(fd, select.POLLIN)
     for done in range(len(jobs)):
@@ -120,24 +122,24 @@ def _results(jobs, feed, workers):
         ok, value = ready.pop(done)
         if not ok:
             raise value
-        yield value
+        values.append(value)
+    return values
 
 
-@contextlib.contextmanager
 def ordered_map(fn, jobs):
-    """Iterator over fn(job) for each of the sequence jobs, in job order.
+    """The list of fn(job) for each of the sequence jobs, in job order.
 
     With more than one job and more than one usable core, forked workers run
     fn (which they get by fork, with the jobs), jobs starting in order;
-    otherwise this is a plain map.  An error in a worker is raised here at
-    its job's place, WorkerDied if a worker ends first.  The workers are
-    killed and reaped on every exit.  Before it forks, this process's BLAS is
+    otherwise this is a plain map.  The error of the first failing job in
+    job order is raised here once every earlier job has returned, or
+    WorkerDied if a worker ends first.  The workers are killed and reaped
+    before this returns or raises.  Before it forks, this process's BLAS is
     capped at one thread, which the workers inherit (see the module).
     """
     cores = _usable_cores()
     if len(jobs) < 2 or cores < 2:
-        yield map(fn, jobs)
-        return
+        return list(map(fn, jobs))
     _one_blas_thread()
     tasks, feed = os.pipe()
     workers = {}                          # result pipe -> worker pid
@@ -154,7 +156,7 @@ def ordered_map(fn, jobs):
                 _serve(fn, jobs, tasks, results, (feed, fd, *workers))
             os.close(results)
             workers[fd] = pid
-        yield _results(jobs, feed, workers)
+        return _results(jobs, feed, workers)
     finally:
         for fd in (tasks, feed, *workers):
             os.close(fd)

@@ -482,9 +482,8 @@ def run_acceptance(denominator=BETA0_QUARTIC, tau_convention=None):
     """
     args = {momentum_representation: (denominator,),
             comoving_adjudication: (tau_convention,)}
-    with ordered_map(lambda job: job[1](*args.get(job[1], ())),
-                     CRITERIA) as results:
-        rows = {label: found for (label, _), found in zip(CRITERIA, results)}
+    results = ordered_map(lambda job: job[1](*args.get(job[1], ())), CRITERIA)
+    rows = {label: found for (label, _), found in zip(CRITERIA, results)}
     return {label: rows[label] for label in sorted(
         rows, key=lambda label: (int(label.split()[0].rstrip("s")), label))}
 
@@ -535,5 +534,5 @@ def scoped_checks(config, denominator=BETA0_QUARTIC, tau_convention=None):
     jobs = (functools.partial(_scoped_leading_rows, config, denominator),
             functools.partial(independent_propagation, {None: config}),
             functools.partial(_scoped_trailing_rows, config, tau_convention))
-    with ordered_map(lambda job: job(), jobs) as results:
-        return [row for rows in results for row in rows]
+    return [row for rows in ordered_map(lambda job: job(), jobs)
+            for row in rows]

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -360,6 +361,26 @@ def test_usage_shows_the_source_group(command, group, capsys):
         main([command, "-h"])
     assert caught.value.code == 0
     assert group in capsys.readouterr().out
+
+
+def load_gates():
+    """tools/gates.py, loaded from its path: tools is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "gates", SRC.parent / "tools" / "gates.py")
+    gates = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gates)
+    return gates
+
+
+GATES = load_gates()
+
+
+@pytest.mark.parametrize("argv", GATES.GATES, ids=" ".join)
+def test_parser_accepts_every_gated_command(argv):
+    # Each gate's arguments, evolve's `--out` included, as tools/gates.py
+    # runs them: a CLI change that breaks a gate fails here, in process.
+    args = cli.build_parser().parse_args(GATES.command(argv, "out"))
+    assert args.command == argv[0]
 
 
 # Runs cli.main on its arguments, output discarded, then prints its exit code

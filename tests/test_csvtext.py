@@ -67,8 +67,28 @@ def test_powers_of_ten_and_their_neighbours():
 
 
 def test_powers_of_two_and_integers():
-    assert_same(np.ldexp(1.0, np.arange(-1074, 1024)))
+    # Powers of two and exact integers take repr, so the array path needs
+    # neither Ryū's interval of a power of two nor a layout for 123.0 or
+    # 12000.0.  Every power of two with three neighbours each way (those
+    # below 2^50 take the array path), integers to 3,000, d * 10^k of 1 to
+    # 16 digits below 2^50, and the largest integers below 2^50.
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = [powers]
+    for direction in (0.0, np.inf):
+        near = powers
+        for _ in range(3):
+            near = np.nextafter(near, direction)
+            values.append(near)
+    values = np.concatenate(values)
+    assert_same(np.concatenate([values, -values]))
     assert_same(np.arange(-3000, 3001, dtype=np.float64))
+    rng = np.random.default_rng(50)
+    digits = rng.integers(1, 10 ** rng.integers(1, 16, 4000), dtype=np.int64)
+    shifts = rng.integers(0, 16, 4000)
+    integers = [float(d * 10 ** k) for d, k in zip(digits.tolist(),
+                                                   shifts.tolist())
+                if d * 10 ** k < 2 ** 50] + [2.0 ** 50 - 1]
+    assert_same(integers + [-v for v in integers])
 
 
 @pytest.mark.parametrize("values", [

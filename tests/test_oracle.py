@@ -11,6 +11,7 @@ from dynosc import (DomainError, MINUS_GAMMA, MINUS_TWO_GAMMA,
                     eval_momentum, eval_psi, hermite_function,
                     quadrature_moment_rows, schrodinger_residual,
                     split_step_propagate, uniform_grid)
+from dynosc import oracle
 from dynosc.oracle import _quadrature_transform
 from dynosc.stencils import diff1, diff2, interior, l2_norm
 from dynosc.verification import RESIDUAL_GRID
@@ -265,6 +266,23 @@ class TestFourier:
         second = dft_momentum_rows(x, pos)
         assert np.all(second == uncached_transform(x, pos, -1j))
         assert not np.all(second == first)
+
+    def test_empty_block_builds_no_kernel_strip(self, monkeypatch):
+        # A kernel strip is built only to be applied: one row takes every
+        # strip of the grid, an empty (0, N) block none.
+        x = uniform_grid(-12.0, 12.0, 1024)
+        built, strips = [], oracle._strips
+
+        def counted(n):
+            found = strips(n)
+            built.extend(found)
+            return found
+
+        monkeypatch.setattr(oracle, "_strips", counted)
+        assert dft_momentum_rows(x, np.empty((0, x.size))).shape == (0, x.size)
+        assert built == []
+        dft_momentum_rows(x, hermite_function(0, x))
+        assert len(built) == x.size // oracle.KERNEL_STRIP
 
     def test_written_amplitudes_leave_the_kernel_alone(self):
         x = uniform_grid(-12.0, 12.0, 1024)

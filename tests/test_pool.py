@@ -1,5 +1,5 @@
-"""The fork pool: results in job order, errors at their job's place, and no
-worker left behind, whatever ends the map."""
+"""The fork pool: results in job order, the first failing job's error, and
+no worker left behind, whatever ends the map."""
 
 import errno
 import json
@@ -70,9 +70,8 @@ def test_ordered_map_keeps_job_order_over_many_jobs():
     # 600 jobs on 2 workers come back in job order, each run in a worker.
     parent = os.getpid()
     jobs = list(range(600))
-    with pool.ordered_map(lambda j: (j * j, os.getpid() != parent),
-                          jobs) as results:
-        assert list(results) == [(j * j, True) for j in jobs]
+    assert pool.ordered_map(lambda j: (j * j, os.getpid() != parent),
+                            jobs) == [(j * j, True) for j in jobs]
     assert_no_child_left()
 
 
@@ -83,13 +82,32 @@ def test_error_is_raised_at_its_jobs_place():
         time.sleep(0.01 * (job % 2))     # later jobs end before job 5's turn
         return square(job)
 
-    got = []
     with pytest.raises(ValueError, match="job 5 in process") as raised:
-        with pool.ordered_map(in_workers(fails_at_5), range(40)) as results:
-            for value in results:
-                got.append(value)
-    assert got == [square(j) for j in range(5)]
+        pool.ordered_map(in_workers(fails_at_5), range(40))
     assert str(os.getpid()) not in str(raised.value)
+    assert_no_child_left()
+
+
+def test_first_failing_job_in_job_order_is_raised(tmp_path):
+    # Job 6 fails first: job 2, in the other worker, fails only once job 6
+    # has.  The error raised is job 2's, the first failing job in job order.
+    failed = tmp_path / "job 6 failed"
+
+    def fails(job):
+        if job == 2:
+            deadline = time.monotonic() + 30
+            while not failed.exists():
+                assert time.monotonic() < deadline, "job 6 did not run"
+                time.sleep(0.001)
+        if job == 6:
+            failed.touch()
+        if job in (2, 6):
+            raise ValueError(f"job {job}")
+        return job
+
+    with pytest.raises(ValueError, match="job 2"):
+        pool.ordered_map(in_workers(fails), list(range(10)))
+    assert failed.exists()
     assert_no_child_left()
 
 
@@ -101,8 +119,7 @@ def test_unpicklable_result_is_an_error(result):
         return result(j) if j == 3 else j
 
     with pytest.raises(Exception, match="pickle"):
-        with pool.ordered_map(in_workers(job), list(range(6))) as results:
-            list(results)
+        pool.ordered_map(in_workers(job), list(range(6)))
     assert_no_child_left()
 
 
@@ -113,8 +130,7 @@ def test_unpicklable_exception_is_an_error():
         return job
 
     with pytest.raises(RuntimeError, match="ValueError"):
-        with pool.ordered_map(in_workers(raises), list(range(6))) as results:
-            list(results)
+        pool.ordered_map(in_workers(raises), list(range(6)))
     assert_no_child_left()
 
 
@@ -123,20 +139,7 @@ def test_exception_that_does_not_unpickle_is_an_error():
         raise TwoArgs("a", "b")
 
     with pytest.raises(TypeError):
-        with pool.ordered_map(in_workers(raises), list(range(6))) as results:
-            list(results)
-    assert_no_child_left()
-
-
-def test_break_leaves_no_child():
-    def slow(job):
-        time.sleep(0.05)
-        return job
-
-    with pool.ordered_map(in_workers(slow), list(range(100))) as results:
-        for value in results:
-            if value == 3:
-                break
+        pool.ordered_map(in_workers(raises), list(range(6)))
     assert_no_child_left()
 
 
@@ -146,23 +149,17 @@ def test_dead_worker_ends_the_map():
             os.kill(os.getpid(), signal.SIGKILL)
         return job
 
-    got = []
     with pytest.raises(pool.WorkerDied):
-        with pool.ordered_map(in_workers(dies_at_3), list(range(20))) as results:
-            got.extend(results)
-    assert got == list(range(len(got)))
+        pool.ordered_map(in_workers(dies_at_3), list(range(20)))
     assert_no_child_left()
 
 
 def test_plain_map_gives_the_same_list(monkeypatch):
     jobs = list(range(50))
-    with pool.ordered_map(in_workers(square), jobs) as results:
-        pooled = list(results)
+    pooled = pool.ordered_map(in_workers(square), jobs)
     monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
     parent = os.getpid()
-    with pool.ordered_map(lambda j: (square(j), os.getpid()),
-                          jobs) as results:
-        plain = list(results)
+    plain = pool.ordered_map(lambda j: (square(j), os.getpid()), jobs)
     assert pooled == [value for value, _ in plain] == [j * j for j in jobs]
     assert {pid for _, pid in plain} == {parent}
     assert_no_child_left()
@@ -202,8 +199,8 @@ def test_workers_inherit_one_blas_thread(blas):
         dft_momentum_rows(grid, rows)
         return get(), before, task_count()
 
-    with pool.ordered_map(in_workers(transform), range(4)) as results:
-        assert list(results) == [(1, 1, 1)] * 4
+    assert pool.ordered_map(in_workers(transform), range(4)) == [
+        (1, 1, 1)] * 4
     assert get() == 1
     assert_no_child_left()
 
@@ -213,9 +210,9 @@ def test_workers_inherit_one_blas_thread(blas):
 def test_plain_map_keeps_the_blas_threads(blas, monkeypatch, jobs, cores):
     get, _ = blas
     monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
-    with pool.ordered_map(square, range(jobs)) as results:
-        assert list(results) == [j * j for j in range(jobs)]
+    assert pool.ordered_map(square, range(jobs)) == [j * j for j in range(jobs)]
     assert get() == 2
+    assert_no_child_left()
 
 
 def test_blas_threads_are_set_once(blas, monkeypatch):
@@ -230,8 +227,7 @@ def test_blas_threads_are_set_once(blas, monkeypatch):
 
     monkeypatch.setattr(pool, "_blas_threads", lambda: (get, recording_set))
     for _ in range(2):
-        with pool.ordered_map(in_workers(square), range(4)) as results:
-            assert list(results) == [0, 1, 4, 9]
+        assert pool.ordered_map(in_workers(square), range(4)) == [0, 1, 4, 9]
     assert sets == [1] and get() == 1
     assert_no_child_left()
 
@@ -241,8 +237,8 @@ def test_pool_runs_without_the_blas_symbols(monkeypatch):
     # the same results.
     monkeypatch.setattr(pool.ctypes, "CDLL", lambda path: SimpleNamespace())
     assert pool._blas_threads() is None
-    with pool.ordered_map(in_workers(square), list(range(50))) as results:
-        assert list(results) == [j * j for j in range(50)]
+    assert pool.ordered_map(in_workers(square), list(range(50))) == [
+        j * j for j in range(50)]
     assert_no_child_left()
 
 

@@ -60,6 +60,11 @@ GATES = [
 ]
 
 
+def command(argv, out):
+    """The arguments of a gate's run: evolve writes into the directory out."""
+    return [*argv, *(["--out", str(out)] if argv[0] == "evolve" else [])]
+
+
 def run(argv, core=None):
     """Exit code and sha256[:8] of `dynosc argv` in a fresh process, on the
     one core `core` if given."""
@@ -68,13 +73,12 @@ def run(argv, core=None):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / CONFIG).write_text(json.dumps(CONFIG_DATA))
         out = Path(tmp) / "out"
-        extra = ["--out", str(out)] if argv[0] == "evolve" else []
         done = subprocess.run(
-            [sys.executable, "-m", "dynosc.cli", *argv, *extra], cwd=tmp,
-            capture_output=True, env=env,
+            [sys.executable, "-m", "dynosc.cli", *command(argv, out)],
+            cwd=tmp, capture_output=True, env=env,
             preexec_fn=None if core is None
             else lambda: os.sched_setaffinity(0, {core}))
-        if extra:
+        if argv[0] == "evolve":
             manifest = out / "manifest.json"
             data = manifest.read_bytes() if manifest.exists() else None
         else:
